@@ -5,6 +5,10 @@ class Qr2mError(Exception):
     """Base class for all errors raised by qr2m."""
 
 
+class BadModulus(Qr2mError, ValueError):
+    """The modulus exponent m lies outside 1..MAX_M."""
+
+
 class NotPrime(Qr2mError):
     """The argument must be an odd prime."""
 
@@ -18,7 +22,7 @@ class OutOfFamilyRange(Qr2mError):
 
 
 class NoValidK(Qr2mError):
-    """No k in the admissible range matches p modulo 2^m."""
+    """Family parameters need m >= 4."""
 
 
 class TemplateNeedsM4(Qr2mError):

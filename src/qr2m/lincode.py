@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .modring import Modulus
-from .polyring import ZPoly
+from .polyring import ZPoly, mu_map
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -186,11 +186,6 @@ def code_from_polynomial(g: ZPoly) -> LinearCode:
     return canonical_form(rows, g.n, g.m)
 
 
-def cardinality(c: LinearCode) -> int:
-    """Exact code size; prefer c.log2_size in reports."""
-    return c.cardinality()
-
-
 def _kernel(rows: Sequence[Sequence[int]], n: int, m: int) -> list[list[int]]:
     """Generators of {u in Z_{2^m}^n : rows . u = 0 mod 2^m}.
 
@@ -264,9 +259,6 @@ def _kernel(rows: Sequence[Sequence[int]], n: int, m: int) -> list[list[int]]:
 
 def dual(c: LinearCode) -> LinearCode:
     """The annihilator code under the standard inner product."""
-    if not c.gen:
-        full = [[1 if i == j else 0 for j in range(c.n)] for i in range(c.n)]
-        return canonical_form(full, c.n, c.m)
     return canonical_form(_kernel(c.gen, c.n, c.m), c.n, c.m)
 
 
@@ -442,6 +434,12 @@ def puncture(c: LinearCode, pos: int) -> LinearCode:
     return canonical_form(rows, c.n - 1, c.m)
 
 
+def mu_image(c: LinearCode, u: int) -> LinearCode:
+    """The code under the coordinate relabeling i -> u*i mod n; u a unit."""
+    rows = [mu_map(ZPoly(c.n, c.m, row), u).coeffs for row in c.gen]
+    return canonical_form(rows, c.n, c.m)
+
+
 def equivalent_under_mu(a: LinearCode, b: LinearCode) -> int | None:
     """Smallest unit u with the coordinate relabeling i -> u*i mapping a to b."""
     if a.n != b.n or a.m != b.m:
@@ -449,14 +447,6 @@ def equivalent_under_mu(a: LinearCode, b: LinearCode) -> int | None:
     if a.log2_size != b.log2_size:
         return None
     for u in range(1, a.n):
-        if gcd(u, a.n) != 1:
-            continue
-        rows = []
-        for row in a.gen:
-            out = [0] * a.n
-            for i, x in enumerate(row):
-                out[u * i % a.n] = x
-            rows.append(out)
-        if canonical_form(rows, a.n, a.m) == b:
+        if gcd(u, a.n) == 1 and mu_image(a, u) == b:
             return u
     return None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import BadResidueClass, NoValidK, NotPrime, OutOfFamilyRange
+from .errors import BadModulus, BadResidueClass, NoValidK, NotPrime, OutOfFamilyRange
 
 MAX_M = 62
 
@@ -27,7 +27,7 @@ class Modulus:
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or not 1 <= self.m <= MAX_M:
-            raise ValueError(f"modulus exponent must be in 1..{MAX_M}, got {self.m!r}")
+            raise BadModulus(f"modulus exponent must be in 1..{MAX_M}, got {self.m!r}")
 
     @property
     def value(self) -> int:
@@ -120,10 +120,12 @@ class FamilyParams:
 
 
 def family_params(p: int, m: int) -> FamilyParams:
-    """Find the unique (k, sign) with p = sign*(8k - 1) mod 2^m.
+    """The unique (k, sign) with p = sign*(8k - 1) mod 2^m, in closed form.
 
-    Requires m >= 4 and 1 <= k <= 2^(m-3) - 1.  Residues 1 and -1 mod 2^m
-    are excluded from the family and raise OutOfFamilyRange.
+    With r = p mod 2^m: r = 7 mod 8 gives sign +1 and k = (r + 1)/8;
+    r = 1 mod 8 gives sign -1 and k = (2^m - r + 1)/8.  Requires m >= 4,
+    which puts k in 1..2^(m-3) - 1.  Residues 1 and -1 mod 2^m are
+    excluded from the family and raise OutOfFamilyRange.
     """
     if not is_odd_prime(p):
         raise NotPrime(f"{p} is not an odd prime")
@@ -131,21 +133,10 @@ def family_params(p: int, m: int) -> FamilyParams:
         raise BadResidueClass(f"{p} is not +-1 mod 8")
     if m < 4:
         raise NoValidK(f"family parameters need m >= 4, got m={m}")
-    Modulus(m)
-    modulus = 1 << m
+    modulus = Modulus(m).value
     r = p % modulus
     if r in (1, modulus - 1):
         raise OutOfFamilyRange(f"p mod 2^{m} = {'1' if r == 1 else '-1'} has no (k, sign)")
-    matches = []
-    for k in range(1, (1 << (m - 3))):
-        anchor = (8 * k - 1) % modulus
-        if r == anchor:
-            matches.append((k, 1))
-        if r == (-anchor) % modulus:
-            matches.append((k, -1))
-    if not matches:
-        raise NoValidK(f"no k with p = +-(8k-1) mod 2^{m} for p={p}")
-    if len(matches) > 1:
-        raise NoValidK(f"ambiguous k for p={p}, m={m}: {matches}")
-    k, sign = matches[0]
-    return FamilyParams(p=p, m=m, k=k, sign=sign)
+    if r % 8 == 7:
+        return FamilyParams(p=p, m=m, k=(r + 1) // 8, sign=1)
+    return FamilyParams(p=p, m=m, k=(modulus - r + 1) // 8, sign=-1)

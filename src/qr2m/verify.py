@@ -14,12 +14,11 @@ from __future__ import annotations
 from . import padic
 from .errors import NoCaseApplies, NoValidK, OutOfFamilyRange
 from .lincode import (
-    LinearCode,
-    canonical_form,
     code_from_polynomial,
     dual,
     intersect,
     is_self_orthogonal,
+    mu_image,
     sum_codes,
 )
 from .modring import (
@@ -48,20 +47,11 @@ from .qr import (
 
 SCHEMA_VERSION = 1
 
-
-def _mu_image(code: LinearCode, u: int) -> LinearCode:
-    rows = []
-    for row in code.gen:
-        out = [0] * code.n
-        for i, x in enumerate(row):
-            out[u * i % code.n] = x
-        rows.append(out)
-    return canonical_form(rows, code.n, code.m)
-
-
-def _full_ring(p: int, m: int) -> LinearCode:
-    rows = [[1 if j == i else 0 for j in range(p)] for i in range(p)]
-    return canonical_form(rows, p, m)
+_NOT_CONSTRUCTIBLE_REASONS = {
+    OutOfFamilyRange: "out_of_family_range",
+    NoValidK: "no_valid_k",
+    NoCaseApplies: "no_case_applies",
+}
 
 
 class _Report:
@@ -254,17 +244,10 @@ def _check_padic(rep: _Report, p: int, m: int, params) -> None:
 def _check_family(rep: _Report, p: int, m: int) -> None:
     try:
         fam = build_family(p, m)
-    except OutOfFamilyRange as exc:
+    except (OutOfFamilyRange, NoValidK, NoCaseApplies) as exc:
         rep.skip("family_construction", p, m, str(exc))
-        rep.finding("family_not_constructible", p, m, {"reason": "out_of_family_range"})
-        return
-    except NoValidK as exc:
-        rep.skip("family_construction", p, m, str(exc))
-        rep.finding("family_not_constructible", p, m, {"reason": "no_valid_k"})
-        return
-    except NoCaseApplies as exc:
-        rep.skip("family_construction", p, m, str(exc))
-        rep.finding("family_not_constructible", p, m, {"reason": "no_case_applies"})
+        reason = _NOT_CONSTRUCTIBLE_REASONS[type(exc)]
+        rep.finding("family_not_constructible", p, m, {"reason": reason})
         return
     tag = fam.case_tag
     k, eps = split_parameter(p)
@@ -327,7 +310,7 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         "big_pair_sum",
         p,
         m,
-        sum_codes(big_q, big_n) == _full_ring(p, m),
+        sum_codes(big_q, big_n).log2_size == m * p,
         "large pair spans the whole ring",
     )
     rep.row(
@@ -403,7 +386,7 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
     part = quad_partition(p)
     found = None
     for u in part.n:
-        if _mu_image(fam.q, u) == fam.n and _mu_image(fam.q_prime, u) == fam.n_prime:
+        if mu_image(fam.q, u) == fam.n and mu_image(fam.q_prime, u) == fam.n_prime:
             found = u
             break
     rep.row(

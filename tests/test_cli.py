@@ -186,3 +186,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("m", ["0", "63"])
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("identities", ()),
+        ("idempotents", ()),
+        ("family", ()),
+        ("weight", ("--code", "lift")),
+        ("padic", ()),
+        ("lift", ()),
+    ],
+)
+def test_out_of_range_m_is_a_usage_error(capsys, command, extra, m):
+    code, _, err = run_cli(capsys, command, "7", m, *extra)
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("padic", "7", "40"), ("family", "7", "62"), ("idempotents", "199", "62")],
+)
+def test_large_m_commands_finish(capsys, argv):
+    code, data, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert data["m"] == int(argv[2])

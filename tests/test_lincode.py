@@ -16,6 +16,7 @@ from qr2m.lincode import (
     is_self_orthogonal,
     min_weight,
     min_weight_parity,
+    mu_image,
     puncture,
     sum_codes,
 )
@@ -243,3 +244,17 @@ def test_zero_code():
     assert dual(z).log2_size == 8
     with pytest.raises(NoNonzeroWords):
         min_weight(z, exhaustive=True)
+
+
+def test_mu_image_relabels_every_codeword():
+    rng = random.Random(29)
+    for n, m in ((5, 2), (7, 1), (3, 3)):
+        code = canonical_form(random_rows(rng, n, m, 2), n, m)
+        for u in range(1, n):
+            relabeled = set()
+            for word in code.codewords():
+                out = [0] * n
+                for i, x in enumerate(word):
+                    out[u * i % n] = x
+                relabeled.add(tuple(out))
+            assert set(mu_image(code, u).codewords()) == relabeled

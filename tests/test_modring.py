@@ -128,3 +128,35 @@ def test_family_params_errors():
         family_params(13, 4)
     with pytest.raises(NoValidK):
         family_params(7, 3)
+
+
+FAMILY_PRIMES = [p for p in range(3, 200) if is_odd_prime(p) and p % 8 in (1, 7)]
+
+
+def test_family_params_closed_form_matches_k_scan():
+    for p in FAMILY_PRIMES:
+        for m in range(4, 13):
+            mod = 1 << m
+            r = p % mod
+            scan = [
+                (k, sign)
+                for k in range(1, 1 << (m - 3))
+                for sign in (1, -1)
+                if r == sign * (8 * k - 1) % mod
+            ]
+            if r in (1, mod - 1):
+                assert scan == []
+                with pytest.raises(OutOfFamilyRange):
+                    family_params(p, m)
+                continue
+            assert len(scan) == 1
+            params = family_params(p, m)
+            assert [(params.k, params.sign)] == scan
+
+
+def test_family_params_at_large_m():
+    for p in FAMILY_PRIMES:
+        for m in (30, 40, 62):
+            params = family_params(p, m)
+            assert (p - params.sign * (8 * params.k - 1)) % (1 << m) == 0
+            assert 1 <= params.k <= (1 << (m - 3)) - 1

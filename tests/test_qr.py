@@ -7,7 +7,7 @@ from qr2m.errors import (
     ShapeMismatch,
 )
 from qr2m.lincode import dual, intersect, is_self_orthogonal, sum_codes
-from qr2m.modring import family_params
+from qr2m.modring import family_params, is_odd_prime
 from qr2m.polyring import ZPoly, is_idempotent, mu_map, ring_mul
 from qr2m.qr import (
     IdempotentCoeffs,
@@ -237,3 +237,11 @@ def test_family_q_side_comparable_with_lift():
         fam = build_family(p, m)
         lift = lifted_residue_code(p, m)
         assert lift.contains_code(fam.q) or fam.q.contains_code(lift)
+
+
+def test_span_idempotents_matches_scan_oracle():
+    grid = [p for p in range(3, 200) if is_odd_prime(p) and p % 8 in (1, 7)]
+    assert len(grid) == 20
+    points = [(p, m) for p in grid for m in (4, 5)] + [(23, 6), (41, 6)]
+    for p, m in points:
+        assert span_idempotents(p, m) == tuple(sorted(_scan_span(p, m)))
