@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 verification failure or expectation mismatch,
-2 usage or configuration error, 3 exhausted enumeration budget.
+2 usage or configuration error, 3 when the exact minimum-weight route
+would enumerate more words (socle plus shortened codes) than the budget.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def _resolve_weight_code(p: int, m: int, name: str):
 
 def cmd_weight(args) -> int:
     code = _resolve_weight_code(args.p, args.m, args.code)
-    report = min_weight(code, budget=args.budget, exhaustive=args.exhaustive)
+    report = min_weight(code, budget=args.budget)
     if args.format == "csv":
         print("p,m,code,log2_size,min_weight,exhaustive")
         print(
@@ -304,8 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
     add("family", cmd_family, "construct the four-code family at (p, m)")
     wp = add("weight", cmd_weight, "minimum-weight report for one code")
     wp.add_argument("--code", choices=_WEIGHT_CODES, required=True)
-    wp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    wp.add_argument("--exhaustive", action="store_true")
+    wp.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="most words the exact route may enumerate: socle plus shortened codes",
+    )
+    wp.add_argument(
+        "--exhaustive",
+        action="store_true",
+        help="accepted for compatibility; every report is exact",
+    )
     wp.add_argument("--format", choices=("json", "csv"), default="json")
     add("padic", cmd_padic, "binary digit expansions of +-p, +-1/p")
     add("lift", cmd_lift, "factor x^p - 1 over Z/2^m")

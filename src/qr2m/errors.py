@@ -62,7 +62,7 @@ class BadPosition(Qr2mError):
 
 
 class BudgetExceeded(Qr2mError):
-    """An exhaustive enumeration was requested but exceeds the budget."""
+    """The exact minimum-weight route would enumerate more words than the budget."""
 
 
 class NoNonzeroWords(Qr2mError):

@@ -11,8 +11,8 @@ matrix comparison.  No floating point, no column permutations.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -349,74 +349,54 @@ def _scan_words(words, n: int, m: int) -> WeightReport:
     )
 
 
-def min_weight(
-    c: LinearCode, budget: int = DEFAULT_BUDGET, exhaustive: bool = False
-) -> WeightReport:
-    """Minimum nonzero Hamming weight.
-
-    Full enumeration when the code fits in the word budget; otherwise a
-    certified upper bound from sampled words, flagged enumerated=False.
-    With exhaustive=True a code beyond the budget raises BudgetExceeded
-    instead of degrading.
-    """
-    if c.is_zero:
-        raise NoNonzeroWords("the zero code has no nonzero words")
-    if (1 << c.log2_size) <= budget:
-        return _scan_words(c.codewords(), c.n, c.m)
-    if exhaustive:
-        raise BudgetExceeded(
-            f"2^{c.log2_size} words exceed the budget of {budget}"
-        )
-    return _sampled_upper_bound(c, budget)
-
-
-def _sampled_upper_bound(c: LinearCode, budget: int) -> WeightReport:
-    """Scalar multiples of rows plus seeded random combinations."""
-    mod = 1 << c.m
-    best = c.n + 1
-    count = 0
-    all_odd = True
-    for row in c.gen:
-        for s in range(1, mod):
-            word = [s * x % mod for x in row]
-            w = sum(1 for x in word if x)
-            if 0 < w < best:
-                best, count, all_odd = w, 1, sum(word) % mod != 0
-            elif w == best:
-                count += 1
-                if sum(word) % mod == 0:
-                    all_odd = False
-    rng = random.Random(20260821)
-    tried = len(c.gen) * (mod - 1)
-    while tried < budget:
-        tried += 1
-        word = [0] * c.n
-        for row in c.gen:
-            s = rng.randrange(mod)
-            if s:
-                word = [(a + s * b) % mod for a, b in zip(word, row)]
-        w = sum(1 for x in word if x)
-        if w == 0:
-            continue
-        if w < best:
-            best, count, all_odd = w, 1, sum(word) % mod != 0
-        elif w == best:
-            count += 1
-            if sum(word) % mod == 0:
-                all_odd = False
-    return WeightReport(
-        min_weight=best,
-        min_weight_count=count,
-        all_min_odd_like=None,
-        enumerated=False,
+def _coordinate_code(n: int, m: int, support: Iterable[int], scale: int) -> LinearCode:
+    """The span of scale * e_i over the coordinates i in support."""
+    return canonical_form(
+        [[scale if j == i else 0 for j in range(n)] for i in support], n, m
     )
 
 
-def min_weight_parity(c: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
-    """Exhaustive minimum weight with the odd-like classification."""
+def min_weight(c: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
+    """Exact minimum nonzero Hamming weight, its word count and parity.
+
+    For a nonzero word w, the last nonzero 2^j * w lies in the socle
+    C[2] = C intersect 2^(m-1) * Z^n and its support lies inside supp(w).
+    So the lightest socle words carry exactly the supports S of the
+    minimum-weight words of C, and those words are the nonzero words of
+    the shortened code C_S = C intersect span{e_i : i in S}.  The socle is
+    enumerated once, then every C_S; budget bounds the total number of
+    words enumerated, checked before each enumeration.
+    """
     if c.is_zero:
         raise NoNonzeroWords("the zero code has no nonzero words")
-    return min_weight(c, budget=budget, exhaustive=True)
+    n, m = c.n, c.m
+    socle = intersect(c, _coordinate_code(n, m, range(n), 1 << (m - 1)))
+    spent = 1 << socle.log2_size
+    if spent > budget:
+        raise BudgetExceeded(
+            f"2^{socle.log2_size} socle words exceed the budget of {budget}"
+        )
+    best = n + 1
+    lightest = []
+    for word in socle.codewords():
+        w = n - word.count(0)
+        if w == 0 or w > best:
+            continue
+        if w < best:
+            best = w
+            lightest = []
+        lightest.append(word)
+    shortened = []
+    for word in lightest:
+        support = [i for i in range(n) if word[i]]
+        short = intersect(c, _coordinate_code(n, m, support, 1))
+        spent += 1 << short.log2_size
+        if spent > budget:
+            raise BudgetExceeded(
+                f"{spent} socle and shortened-code words exceed the budget of {budget}"
+            )
+        shortened.append(short)
+    return _scan_words(chain.from_iterable(s.codewords() for s in shortened), n, m)
 
 
 def extend(c: LinearCode) -> LinearCode:

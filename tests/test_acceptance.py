@@ -173,11 +173,11 @@ def test_criterion_6_minimum_weights():
     ok &= binary7 == 3
     for m in (2, 3, 4):
         start = time.monotonic()
-        report = min_weight(lifted_residue_code(7, m), exhaustive=True)
+        report = min_weight(lifted_residue_code(7, m))
         timings.append(time.monotonic() - start)
         ok &= report.enumerated and report.min_weight == 3 == binary7
     start = time.monotonic()
-    report17 = min_weight(lifted_residue_code(17, 2), exhaustive=True)
+    report17 = min_weight(lifted_residue_code(17, 2))
     timings.append(time.monotonic() - start)
     ok &= report17.enumerated and report17.min_weight == 5
     ok &= binary_min_weight(17) == 5
@@ -188,7 +188,7 @@ def test_criterion_6_minimum_weights():
 def test_criterion_7_minimum_words_odd_like():
     start = time.monotonic()
     fam = build_family(7, 4)
-    report = min_weight(fam.q_prime, exhaustive=True)
+    report = min_weight(fam.q_prime)
     ok = report.enumerated and report.min_weight == 3
     ok &= report.all_min_odd_like is True
     elapsed = time.monotonic() - start
@@ -269,7 +269,7 @@ def test_criterion_10_oracle_equivalence():
         ok &= set(dual(code).codewords()) == brute_dual
         nonzero = [w for w in span if any(w)]
         if nonzero:
-            report = min_weight(code, exhaustive=True)
+            report = min_weight(code)
             weights = sorted(sum(1 for x in w if x) for w in nonzero)
             ok &= report.min_weight == weights[0]
             ok &= report.min_weight_count == weights.count(weights[0])

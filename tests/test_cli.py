@@ -87,6 +87,17 @@ def test_weight_budget_exceeded(capsys):
     assert "budget" in err
 
 
+def test_weight_default_budget_is_exact(capsys):
+    code, data, _ = run_json(capsys, "weight", "23", "4", "--code", "qprime")
+    assert code == 0
+    assert data["report"] == {
+        "min_weight": 7,
+        "min_weight_count": 253,
+        "all_min_odd_like": True,
+        "enumerated": True,
+    }
+
+
 def test_padic_command(capsys):
     code, data, _ = run_json(capsys, "padic", "23", "5")
     assert code == 0

@@ -15,7 +15,6 @@ from qr2m.lincode import (
     is_even_like,
     is_self_orthogonal,
     min_weight,
-    min_weight_parity,
     mu_image,
     puncture,
     sum_codes,
@@ -146,17 +145,22 @@ def test_intersect_and_sum_match_brute_force():
 
 def test_min_weight_matches_brute_force():
     rng = random.Random(29)
-    for trial in range(30):
+    for trial in range(60):
         n, m = SHAPES[trial % len(SHAPES)]
-        rows = random_rows(rng, n, m, 2)
+        # rows scaled by 2^j give non-free codes, whose socle is not
+        # 2^(m-1) times their residue code
+        rows = []
+        for row in random_rows(rng, n, m, rng.randint(1, 3)):
+            j = rng.randrange(m)
+            rows.append([(x << j) % (1 << m) for x in row])
         code = canonical_form(rows, n, m)
         span = brute_span(rows, n, m)
         nonzero = [w for w in span if any(w)]
         if not nonzero:
             with pytest.raises(NoNonzeroWords):
-                min_weight(code, exhaustive=True)
+                min_weight(code)
             continue
-        report = min_weight(code, exhaustive=True)
+        report = min_weight(code)
         weights = [sum(1 for x in w if x) for w in nonzero]
         assert report.enumerated
         assert report.min_weight == min(weights)
@@ -167,17 +171,19 @@ def test_min_weight_matches_brute_force():
 
 def test_min_weight_budget_behavior():
     code = code_from_polynomial(ZPoly.one(7, 3))  # full ring, 2^21 words
+    # the socle 4 * (Z/8)^7 alone has 2^7 words
     with pytest.raises(BudgetExceeded):
-        min_weight(code, budget=1 << 10, exhaustive=True)
+        min_weight(code, budget=(1 << 7) - 1)
     report = min_weight(code, budget=1 << 10)
-    assert not report.enumerated
-    assert report.all_min_odd_like is None
-    assert report.min_weight == 1  # full space contains weight-1 rows
+    assert report.enumerated
+    assert report.min_weight == 1
+    assert report.min_weight_count == 49  # 7 positions times 7 nonzero values
+    assert report.all_min_odd_like is True
 
 
 def test_min_weight_parity_of_all_ones_ideal():
     ones = ZPoly.from_support(range(7), 7, 4)
-    report = min_weight_parity(code_from_polynomial(ones))
+    report = min_weight(code_from_polynomial(ones))
     assert report.enumerated
     assert report.min_weight == 7
     assert report.min_weight_count == 15
@@ -243,7 +249,7 @@ def test_zero_code():
     assert list(z.codewords()) == [(0, 0, 0, 0)]
     assert dual(z).log2_size == 8
     with pytest.raises(NoNonzeroWords):
-        min_weight(z, exhaustive=True)
+        min_weight(z)
 
 
 def test_mu_image_relabels_every_codeword():
