@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -35,56 +36,77 @@ def _val2(x: int, m: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _howell(rows: Iterable[Sequence[int]], n: int, m: int) -> list[list[int]]:
-    """Reduce a generating set to the unique Howell form.
+def _ones(count: int, width: int) -> int:
+    """The int with a 1 at the bottom of each of count lanes of the given width."""
+    return ((1 << (width * count)) - 1) // ((1 << width) - 1)
+
+
+def _pack(row: Sequence[int], width: int) -> int:
+    """One int per vector: entry j sits in bits [width*j, width*(j+1))."""
+    x = 0
+    for c in reversed(row):
+        x = (x << width) | c
+    return x
+
+
+def _unpack(x: int, n: int, width: int, mask: int) -> list[int]:
+    return [(x >> (width * j)) & mask for j in range(n)]
+
+
+def _howell(rows: Iterable[int], n: int, m: int, width: int) -> list[int]:
+    """Reduce a generating set of lane-packed rows to the unique Howell form.
+
+    Rows are vectors of Z_{2^m}^n packed by _pack into lanes of
+    width >= 2m + 1 bits with every entry below 2^m.  Every lane update
+    below, a + (2^m - f)*b, a*u and a << (m - v), stays below 2^(2m+1)
+    before the mask, so no carry crosses a lane and each step is one
+    big-int multiply, add and mask.  The lowest set bit of a row gives its
+    leading column (bit // width) and that entry's valuation (bit % width).
 
     Worklist echelonization: normalize each incoming row so its leading
     entry is a power of two, install it as the pivot for its leading
     column or reduce it by the incumbent (the smaller valuation wins),
     and queue 2^(m-v) times every installed row so the span stays closed
     under pivot annihilation.  A final left-to-right pass reduces the
-    entries above each pivot below the pivot's power of two.
+    entries above each pivot below the pivot's power of two.  Returns the
+    packed rows in leading-column order.
     """
     mod = 1 << m
-    piv: dict[int, list[int]] = {}
-    queue = []
-    for r in rows:
-        if len(r) != n:
-            raise ShapeMismatch(f"row length {len(r)} in a length-{n} code")
-        rr = [c % mod for c in r]
-        if any(rr):
-            queue.append(rr)
+    low = (mod - 1) * _ones(n, width)
+    piv: dict[int, tuple[int, int]] = {}  # column -> (lowest set bit, row)
+    queue = [r for r in rows if r]
     while queue:
         r = queue.pop()
-        lead = next((c for c in range(n) if r[c]), None)
-        if lead is None:
-            continue
-        v = _val2(r[lead], m)
-        incumbent = piv.get(lead)
-        if incumbent is not None and _val2(incumbent[lead], m) <= v:
-            f = r[lead] >> _val2(incumbent[lead], m)
-            queue.append([(a - f * b) % mod for a, b in zip(r, incumbent)])
-            continue
-        unit_inv = pow(r[lead] >> v, -1, mod)
-        r = [c * unit_inv % mod for c in r]
-        piv[lead] = r
-        if incumbent is not None:
-            queue.append(incumbent)
-        if v < m:
-            ann = [(c << (m - v)) % mod for c in r]
-            if any(ann):
-                queue.append(ann)
-    cols = sorted(piv)
-    for c in cols:
-        v = _val2(piv[c][c], m)
-        for c2 in cols:
-            if c2 >= c:
+        while True:
+            bit = (r & -r).bit_length() - 1
+            lead = bit // width
+            incumbent = piv.get(lead)
+            if incumbent is None or incumbent[0] > bit:
                 break
-            row2 = piv[c2]
-            if row2[c]:
-                f = row2[c] >> v
-                piv[c2] = [(a - f * b) % mod for a, b in zip(row2, piv[c][:])]
-    return [piv[c] for c in cols]
+            shift, prow = incumbent
+            r = (r + (mod - ((r >> shift) & (mod - 1))) * prow) & low
+            if not r:
+                break
+        if not r:
+            continue
+        v = bit - width * lead
+        r = r * pow((r >> bit) & (mod - 1), -1, mod) & low
+        piv[lead] = (bit, r)
+        if incumbent is not None:
+            queue.append(incumbent[1])
+        ann = (r << (m - v)) & low
+        if ann:
+            queue.append(ann)
+    cols = sorted(piv)
+    for i, c in enumerate(cols):
+        shift, prow = piv[c]
+        mask = (mod - 1) >> (shift - width * c)
+        for c2 in cols[:i]:
+            r = piv[c2][1]
+            f = (r >> shift) & mask
+            if f:
+                piv[c2] = (piv[c2][0], (r + (mod - f) * prow) & low)
+    return [piv[c][1] for c in cols]
 
 
 @dataclass(frozen=True)
@@ -172,8 +194,17 @@ class LinearCode:
 
 def canonical_form(rows: Iterable[Sequence[int]], n: int, m: int) -> LinearCode:
     """Canonicalize any generating set into a LinearCode."""
-    reduced = _howell(rows, n, m)
-    return LinearCode(n=n, m=m, gen=tuple(tuple(r) for r in reduced))
+    mod = 1 << m
+    width = 2 * m + 1
+    packed = []
+    for r in rows:
+        if len(r) != n:
+            raise ShapeMismatch(f"row length {len(r)} in a length-{n} code")
+        packed.append(_pack([c % mod for c in r], width))
+    reduced = _howell(packed, n, m, width)
+    return LinearCode(
+        n=n, m=m, gen=tuple(tuple(_unpack(r, n, width, mod - 1)) for r in reduced)
+    )
 
 
 def code_from_polynomial(g: ZPoly) -> LinearCode:
@@ -186,75 +217,87 @@ def code_from_polynomial(g: ZPoly) -> LinearCode:
     return canonical_form(rows, g.n, g.m)
 
 
-def _kernel(rows: Sequence[Sequence[int]], n: int, m: int) -> list[list[int]]:
-    """Generators of {u in Z_{2^m}^n : rows . u = 0 mod 2^m}.
+def _gf2_dependencies(
+    pivots: dict[int, tuple[int, int]], columns: Iterable[tuple[int, int]]
+) -> list[int]:
+    """Gaussian elimination over GF(2) on columns held as bit-vector ints.
 
-    Digit lifting: solve the system mod 2 by GF(2) elimination, then for
-    each extra bit solve, again over GF(2), which combinations of the
-    current generators extend (their obstruction vector must land in the
-    image of the mod-2 matrix) and rebuild the generating set one modulus
-    doubling ... one digit at a time.  Doubles of old generators always
-    survive, which keeps the set complete at every level.
+    columns yields (column, tag) pairs, where the tag names the unknown of
+    that column by one bit.  pivots maps the lowest set bit of each
+    independent column seen so far to (reduced column, XOR of the tags it
+    was built from); it grows in place, so a caller can keep the pivots of
+    columns shared by several systems.  Every column that is a sum of
+    earlier ones gives one kernel vector: its tag XOR the tags of those
+    earlier independent columns.  These are the free-column basis of the
+    null space, the vector with a 1 at one free unknown, 0 at the others.
     """
-    k = len(rows)
-    a_bar = [[rows[i][j] & 1 for j in range(n)] for i in range(k)]
+    found = []
+    for col, tag in columns:
+        while col:
+            bit = (col & -col).bit_length()
+            if bit not in pivots:
+                pivots[bit] = (col, tag)
+                break
+            pcol, ptag = pivots[bit]
+            col ^= pcol
+            tag ^= ptag
+        else:
+            found.append(tag)
+    return found
 
-    def solve_gf2(mat: list[list[int]], cols: int) -> list[list[int]]:
-        """Kernel basis of mat (list of rows) over GF(2)."""
-        work = [row[:] for row in mat]
-        pivots: dict[int, list[int]] = {}
-        for row in work:
-            for c in range(cols):
-                if row[c]:
-                    if c in pivots:
-                        prow = pivots[c]
-                        row[:] = [(x ^ y) for x, y in zip(row, prow)]
-                    else:
-                        pivots[c] = row
-                        break
-        basis = []
-        free = [c for c in range(cols) if c not in pivots]
-        for fc in free:
-            vec = [0] * cols
-            vec[fc] = 1
-            for c in sorted(pivots, reverse=True):
-                s = sum(pivots[c][j] & vec[j] for j in range(c + 1, cols)) & 1
-                vec[c] = s
-            basis.append(vec)
-        return basis
 
-    gens = solve_gf2(a_bar, n)
+def _kernel(rows: Sequence[Sequence[int]], n: int, m: int) -> list[list[int]]:
+    """Howell-form generators of {u in Z_{2^m}^n : rows . u = 0 mod 2^m}.
+
+    Digit lifting.  Mod 2 the kernel is the GF(2) null space of the rows.
+    Given generators of the kernel mod 2^l, a word sum(eps_t g_t) + 2^l w
+    (eps, w over GF(2)) is in the kernel mod 2^(l+1) exactly when
+    sum(eps_t s_t) + (rows mod 2) . w = 0 over GF(2), where s_t is the
+    obstruction (rows . g_t mod 2^(l+1)) >> l.  Each level solves that
+    system and Howell-reduces its solutions together with the doubles of
+    the old generators, which always lift and keep the set complete.
+
+    Vectors are lane-packed (see _howell) with lane width
+    W = 2m + n.bit_length() + 1, which holds a whole inner product
+    rows[i] . g.  Column j of the rows is packed too, entry i in lane i,
+    so all of rows . g is one multiply-add per nonzero entry of g, and
+    bit l of each lane is the obstruction, already a GF(2) column.
+    """
+    width = 2 * m + n.bit_length() + 1
+    lanes = _ones(n, width)
+    row_bits = _ones(len(rows), width)
+    cols = [_pack([row[j] for row in rows], width) for j in range(n)]
+    # unknown w_j is tagged by bit 0 of lane j, so a solution's w part is
+    # already a packed 0/1 vector; eps_t is tagged by bit width*n + t
+    pivots: dict[int, tuple[int, int]] = {}
+    free = _gf2_dependencies(
+        pivots, ((c & row_bits, 1 << (width * j)) for j, c in enumerate(cols))
+    )
+    gens = _howell(free, n, 1, width)
     for level in range(1, m):
-        mod_next = 1 << (level + 1)
         obstructions = []
         for g in gens:
-            sg = [
-                (sum(rows[i][j] * g[j] for j in range(n)) % mod_next) >> level
-                for i in range(k)
-            ]
-            obstructions.append(sg)
-        # unknowns: w (n bits) then eps (len(gens) bits)
-        combined = [
-            [a_bar[i][j] for j in range(n)] + [obstructions[t][i] for t in range(len(gens))]
-            for i in range(k)
-        ]
-        sol = solve_gf2(combined, n + len(gens))
-        new_gens = []
-        for vec in sol:
-            w, eps = vec[:n], vec[n:]
-            cand = [0] * n
-            for t, e in enumerate(eps):
-                if e:
-                    cand = [x + y for x, y in zip(cand, gens[t])]
-            cand = [(x + (wj << level)) % mod_next for x, wj in zip(cand, w)]
-            if any(cand):
-                new_gens.append(cand)
-        for g in gens:
-            doubled = [(2 * x) % mod_next for x in g]
-            if any(doubled):
-                new_gens.append(doubled)
-        gens = _howell(new_gens, n, level + 1)
-    return _howell(gens, n, m)
+            acc = 0
+            for x, col in zip(_unpack(g, n, width, (1 << level) - 1), cols):
+                if x:
+                    acc += x * col
+            obstructions.append((acc >> level) & row_bits)
+        found = _gf2_dependencies(
+            dict(pivots),
+            ((s, 1 << (width * n + t)) for t, s in enumerate(obstructions)),
+        )
+        new_gens = [w << level for w in free]
+        for tag in found:
+            cand = (tag & lanes) << level
+            eps = tag >> (width * n)
+            while eps:
+                bit = eps & -eps
+                cand += gens[bit.bit_length() - 1]
+                eps ^= bit
+            new_gens.append(cand & (((2 << level) - 1) * lanes))
+        new_gens.extend(g << 1 for g in gens)
+        gens = _howell(new_gens, n, level + 1, width)
+    return [_unpack(g, n, width, (1 << m) - 1) for g in gens]
 
 
 def dual(c: LinearCode) -> LinearCode:
@@ -290,11 +333,12 @@ def intersect(a: LinearCode, b: LinearCode) -> LinearCode:
 
 def is_self_orthogonal(c: LinearCode) -> bool:
     mod = 1 << c.m
-    for r1 in c.gen:
-        for r2 in c.gen:
-            if sum(x * y for x, y in zip(r1, r2)) % mod != 0:
-                return False
-    return True
+    gen = c.gen
+    return all(
+        sum(map(mul, r1, r2)) % mod == 0
+        for i, r1 in enumerate(gen)
+        for r2 in gen[i:]
+    )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 import itertools
 import random
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qr2m.errors import BadPosition, BudgetExceeded, NoNonzeroWords, ShapeMismatch
 from qr2m.lincode import (
@@ -264,3 +267,75 @@ def test_mu_image_relabels_every_codeword():
                     out[u * i % n] = x
                 relabeled.add(tuple(out))
             assert set(mu_image(code, u).codewords()) == relabeled
+
+
+# Lane-stress shapes for the packed rows: m = 62 puts a lane of the kernel
+# (2m + n.bit_length() + 1 bits) past 128 bits, m = 1 leaves three bits.
+LANE_MS = (1, 2, 5, 8, 16, 62)
+
+
+@st.composite
+def generating_sets(draw, m=None, n=None, min_rows=0):
+    """(rows, n, m): up to 5 rows with entries up to 2^m - 1, some rows
+    scaled by a power of two so that the codes need not be free."""
+    if m is None:
+        m = draw(st.sampled_from(LANE_MS))
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=12))
+    mod = 1 << m
+    entry = st.integers(min_value=0, max_value=mod - 1)
+    rows = []
+    for _ in range(draw(st.integers(min_value=min_rows, max_value=5))):
+        row = draw(st.lists(entry, min_size=n, max_size=n))
+        j = draw(st.integers(min_value=0, max_value=m - 1))
+        rows.append([(x << j) % mod for x in row])
+    return rows, n, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(generating_sets(min_rows=1), st.data())
+def test_canonical_form_invariant_at_lane_widths(gen_set, data):
+    rows, n, m = gen_set
+    mod = 1 << m
+    code = canonical_form(rows, n, m)
+    # the list-based membership test is independent of the packed reduction
+    assert all(code.contains(r) for r in rows)
+    coeff = st.integers(min_value=0, max_value=mod - 1)
+    index = st.integers(min_value=0, max_value=len(rows) - 1)
+    mixed = [list(r) for r in rows]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+        i, j = data.draw(index), data.draw(index)
+        u = data.draw(coeff) | 1
+        mixed[i] = [x * u % mod for x in mixed[i]]
+        if i != j:
+            c = data.draw(coeff)
+            mixed[i] = [(x + c * y) % mod for x, y in zip(mixed[i], mixed[j])]
+    mixed = data.draw(st.permutations(mixed))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        cs = data.draw(st.lists(coeff, min_size=len(mixed), max_size=len(mixed)))
+        mixed.append([sum(map(mul, cs, col)) % mod for col in zip(*mixed)])
+    assert canonical_form(mixed, n, m) == code
+
+
+@settings(max_examples=60, deadline=None)
+@given(generating_sets())
+def test_dual_of_dual_and_size_at_lane_widths(gen_set):
+    rows, n, m = gen_set
+    mod = 1 << m
+    code = canonical_form(rows, n, m)
+    d = dual(code)
+    assert all(sum(map(mul, u, r)) % mod == 0 for u in d.gen for r in code.gen)
+    assert code.log2_size + d.log2_size == m * n
+    assert dual(d) == code
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_intersection_and_sum_sizes_at_lane_widths(data):
+    rows_a, n, m = data.draw(generating_sets())
+    rows_b, _, _ = data.draw(generating_sets(m=m, n=n))
+    a = canonical_form(rows_a, n, m)
+    b = canonical_form(rows_b, n, m)
+    both = intersect(a, b)
+    assert a.contains_code(both) and b.contains_code(both)
+    assert both.log2_size + sum_codes(a, b).log2_size == a.log2_size + b.log2_size

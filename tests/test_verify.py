@@ -88,3 +88,11 @@ def test_clean_pair_has_no_errata():
 
 def test_report_is_deterministic():
     assert desk_report() == desk_report()
+
+
+def test_widest_family_point_passes():
+    # m = 8 is the widest lane width on the benchmark grid
+    report = run_verification([127], [8])
+    assert report["summary"]["failed"] == 0
+    family = [c for c in report["checks"] if c["name"] == "family_case"]
+    assert [c["status"] for c in family] == ["pass"]
