@@ -286,6 +286,7 @@ def _kernel(rows: Sequence[Sequence[int]], n: int, m: int) -> list[list[int]]:
             dict(pivots),
             ((s, 1 << (width * n + t)) for t, s in enumerate(obstructions)),
         )
+        low = ((2 << level) - 1) * lanes
         new_gens = [w << level for w in free]
         for tag in found:
             cand = (tag & lanes) << level
@@ -294,7 +295,7 @@ def _kernel(rows: Sequence[Sequence[int]], n: int, m: int) -> list[list[int]]:
                 bit = eps & -eps
                 cand += gens[bit.bit_length() - 1]
                 eps ^= bit
-            new_gens.append(cand & (((2 << level) - 1) * lanes))
+            new_gens.append(cand & low)
         new_gens.extend(g << 1 for g in gens)
         gens = _howell(new_gens, n, level + 1, width)
     return [_unpack(g, n, width, (1 << m) - 1) for g in gens]
