@@ -1,167 +1,13 @@
-"""Quadratic residue codes of prime length over Z/2^m, in exact arithmetic."""
+"""Quadratic residue codes of prime length over Z/2^m, in exact arithmetic.
 
-from .errors import (
-    AmbiguousCase,
-    BadModulus,
-    BadPosition,
-    BadResidueClass,
-    BudgetExceeded,
-    NoCaseApplies,
-    NoNonzeroWords,
-    NotAUnit,
-    NotCoprime,
-    NotCoprimeCofactor,
-    NotPrime,
-    NoValidK,
-    OutOfFamilyRange,
-    PreconditionSignMismatch,
-    Qr2mError,
-    ShapeMismatch,
-    TemplateNeedsM4,
-)
-from .lincode import (
-    DEFAULT_BUDGET,
-    LinearCode,
-    WeightReport,
-    canonical_form,
-    code_from_polynomial,
-    dual,
-    equivalent_under_mu,
-    extend,
-    intersect,
-    is_even_like,
-    is_self_orthogonal,
-    min_weight,
-    puncture,
-    sum_codes,
-)
-from .modring import (
-    MAX_M,
-    FamilyParams,
-    Modulus,
-    QuadPartition,
-    count_zero_sums,
-    family_params,
-    is_odd_prime,
-    quad_partition,
-    residue_class_counts,
-)
-from .padic import (
-    PadicExpansion,
-    Target,
-    Template,
-    direct_value,
-    expand,
-    expected_template,
-    inverse_equals_self,
-    matches_template,
-)
-from .polyring import (
-    FactorSet,
-    ZPoly,
-    binary_qr_factors,
-    cyclotomic_cosets,
-    hensel_lift_factors,
-    idempotent_from_generator,
-    is_idempotent,
-    mu_map,
-    ring_mul,
-)
-from .qr import (
-    IdempotentCoeffs,
-    IdentityCheck,
-    IdentityReport,
-    QrFamily,
-    basis_vectors,
-    build_family,
-    coefficient_system_holds,
-    decompose_basis,
-    lifted_residue_code,
-    product_identities_report,
-    shift_by_h,
-    solve_idempotent_system,
-    span_idempotents,
-    split_parameter,
-    swap_conjugate,
-)
-from .verify import SCHEMA_VERSION, run_verification
+The package namespace carries the names of the library example in
+README.md; everything else is imported from its submodule (qr2m.lincode,
+qr2m.qr, qr2m.verify, ...).
+"""
+
+from .lincode import dual, intersect
+from .qr import build_family
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AmbiguousCase",
-    "BadModulus",
-    "BadPosition",
-    "BadResidueClass",
-    "BudgetExceeded",
-    "DEFAULT_BUDGET",
-    "FactorSet",
-    "FamilyParams",
-    "IdempotentCoeffs",
-    "IdentityCheck",
-    "IdentityReport",
-    "LinearCode",
-    "MAX_M",
-    "Modulus",
-    "NoCaseApplies",
-    "NoNonzeroWords",
-    "NotAUnit",
-    "NotCoprime",
-    "NotCoprimeCofactor",
-    "NotPrime",
-    "NoValidK",
-    "OutOfFamilyRange",
-    "PadicExpansion",
-    "PreconditionSignMismatch",
-    "Qr2mError",
-    "QrFamily",
-    "QuadPartition",
-    "SCHEMA_VERSION",
-    "ShapeMismatch",
-    "Target",
-    "Template",
-    "TemplateNeedsM4",
-    "WeightReport",
-    "ZPoly",
-    "basis_vectors",
-    "binary_qr_factors",
-    "build_family",
-    "canonical_form",
-    "code_from_polynomial",
-    "coefficient_system_holds",
-    "count_zero_sums",
-    "cyclotomic_cosets",
-    "decompose_basis",
-    "direct_value",
-    "dual",
-    "equivalent_under_mu",
-    "expand",
-    "expected_template",
-    "extend",
-    "family_params",
-    "hensel_lift_factors",
-    "idempotent_from_generator",
-    "intersect",
-    "inverse_equals_self",
-    "is_even_like",
-    "is_idempotent",
-    "is_odd_prime",
-    "is_self_orthogonal",
-    "lifted_residue_code",
-    "matches_template",
-    "min_weight",
-    "mu_map",
-    "product_identities_report",
-    "puncture",
-    "quad_partition",
-    "residue_class_counts",
-    "ring_mul",
-    "run_verification",
-    "shift_by_h",
-    "solve_idempotent_system",
-    "span_idempotents",
-    "split_parameter",
-    "sum_codes",
-    "swap_conjugate",
-    "__version__",
-]
+__all__ = ["build_family", "dual", "intersect", "__version__"]

@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .modring import Modulus
-from .polyring import ZPoly, mu_map
+from .polyring import ZPoly, _ones, _pack, _unpack, mu_map
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -34,23 +34,6 @@ def _val2(x: int, m: int) -> int:
     if x == 0:
         return m
     return (x & -x).bit_length() - 1
-
-
-def _ones(count: int, width: int) -> int:
-    """The int with a 1 at the bottom of each of count lanes of the given width."""
-    return ((1 << (width * count)) - 1) // ((1 << width) - 1)
-
-
-def _pack(row: Sequence[int], width: int) -> int:
-    """One int per vector: entry j sits in bits [width*j, width*(j+1))."""
-    x = 0
-    for c in reversed(row):
-        x = (x << width) | c
-    return x
-
-
-def _unpack(x: int, n: int, width: int, mask: int) -> list[int]:
-    return [(x >> (width * j)) & mask for j in range(n)]
 
 
 def _howell(rows: Iterable[int], n: int, m: int, width: int) -> list[int]:

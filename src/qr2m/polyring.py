@@ -1,10 +1,14 @@
 """Dense arithmetic in Z_{2^m}[x]/(x^n - 1) and factor lifting.
 
 Coefficients are plain Python integers (constant term first), so the
-arithmetic stays exact for every m up to the 62-bit cap.  Alongside the
-cyclic ring ZPoly this module carries the non-cyclic helpers needed to
-factor x^p - 1 over GF(2) and to lift that factorization to 2^m by
-modulus-doubling Hensel steps.
+arithmetic stays exact for every m up to the 62-bit cap.  Every product
+is one big-int multiply: _mul_raw packs each operand into bit lanes
+(Kronecker substitution), wide enough that no coefficient sum spills into
+the next lane, and the cyclic product folds that at x^n = 1.  The lane
+format (_ones, _pack, _unpack) is shared with lincode's packed rows.
+Alongside the cyclic ring ZPoly this module carries the non-cyclic
+helpers needed to factor x^p - 1 over GF(2) and to lift that
+factorization to 2^m by modulus-doubling Hensel steps.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import Sequence
 
 from .errors import (
     NotAUnit,
@@ -127,31 +132,17 @@ class ZPoly:
                 return i
         return -1
 
-    def weight(self) -> int:
-        return sum(1 for c in self.coeffs if c)
-
-    def coordinate_sum(self) -> int:
-        return sum(self.coeffs) % (1 << self.m)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
 
 def ring_mul(a: ZPoly, b: ZPoly) -> ZPoly:
-    """Cyclic convolution: schoolbook, exact, O(n^2)."""
+    """Cyclic product: the linear product _mul_raw folded at x^n = 1."""
     a._check_shape(b)
-    n, mod = a.n, 1 << a.m
-    out = [0] * n
-    for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb:
-                k = i + j
-                if k >= n:
-                    k -= n
-                out[k] += ca * cb
-    return ZPoly(n, a.m, tuple(c % mod for c in out))
+    n, mask = a.n, (1 << a.m) - 1
+    full = _mul_raw(a.coeffs, b.coeffs, mask + 1)
+    full += [0] * (2 * n - len(full))
+    return ZPoly(n, a.m, tuple((full[i] + full[i + n]) & mask for i in range(n)))
 
 
 def is_idempotent(f: ZPoly) -> bool:
@@ -169,6 +160,26 @@ def mu_map(f: ZPoly, a: int) -> ZPoly:
 
 
 # ----------------------------------------------------------------------
+# Lane-packed vectors: one int per vector, entry j in its own bit lane.
+
+def _ones(count: int, width: int) -> int:
+    """The int with a 1 at the bottom of each of count lanes of the given width."""
+    return ((1 << (width * count)) - 1) // ((1 << width) - 1)
+
+
+def _pack(row: Sequence[int], width: int) -> int:
+    """One int per vector: entry j sits in bits [width*j, width*(j+1))."""
+    x = 0
+    for c in reversed(row):
+        x = (x << width) | c
+    return x
+
+
+def _unpack(x: int, n: int, width: int, mask: int) -> list[int]:
+    return [(x >> (width * j)) & mask for j in range(n)]
+
+
+# ----------------------------------------------------------------------
 # Non-cyclic polynomial helpers (dense lists, constant term first).
 
 def _trim(a: list[int]) -> list[int]:
@@ -177,15 +188,19 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _mul_raw(a: list[int], b: list[int], mod: int) -> list[int]:
+def _mul_raw(a: Sequence[int], b: Sequence[int], mod: int) -> list[int]:
+    """Linear product mod a power of two, by one multiply of packed operands.
+
+    Coefficients must lie in [0, mod).  Lane k of the packed product is
+    the sum of at most min(len a, len b) products below mod^2, so lanes of
+    2*log2(mod) + bit_length(min(len a, len b)) bits hold it exactly and
+    no carry crosses into the next lane.
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim([c % mod for c in out])
+    width = 2 * (mod.bit_length() - 1) + min(len(a), len(b)).bit_length()
+    prod = _pack(a, width) * _pack(b, width)
+    return _trim(_unpack(prod, len(a) + len(b) - 1, width, mod - 1))
 
 
 def _divmod_raw(a: list[int], b: list[int], mod: int) -> tuple[list[int], list[int]]:
@@ -224,8 +239,8 @@ def _xgcd_gf2(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[in
     while r1:
         q, r = _divmod_raw(r0, r1, 2)
         r0, r1 = r1, r
-        s0, s1 = s1, _trim([(x - y) % 2 for x, y in _zip_pad(s0, _mul_raw(q, s1, 2))])
-        t0, t1 = t1, _trim([(x - y) % 2 for x, y in _zip_pad(t0, _mul_raw(q, t1, 2))])
+        s0, s1 = s1, _sub_raw(s0, _mul_raw(q, s1, 2), 2)
+        t0, t1 = t1, _sub_raw(t0, _mul_raw(q, t1, 2), 2)
     return r0, s0, t0
 
 

@@ -299,18 +299,20 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         and big_n == sum_codes(small_n, shift_code),
         "primed pair adds the all-ones ideal",
     )
+    big_meet = intersect(big_q, big_n)
+    big_span = sum_codes(big_q, big_n)
     rep.row(
         "big_pair_intersection",
         p,
         m,
-        intersect(big_q, big_n) == shift_code,
+        big_meet == shift_code,
         "large pair meets in the all-ones ideal",
     )
     rep.row(
         "big_pair_sum",
         p,
         m,
-        sum_codes(big_q, big_n).log2_size == m * p,
+        big_span.log2_size == m * p,
         "large pair spans the whole ring",
     )
     rep.row(
@@ -401,7 +403,7 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         "intersection_idempotent_route",
         p,
         m,
-        code_from_polynomial(prod) == intersect(big_q, big_n),
+        code_from_polynomial(prod) == big_meet,
         "product idempotent generates the intersection",
     )
     esum = idem_big_q + idem_big_n - prod
@@ -409,7 +411,7 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         "sum_idempotent_route",
         p,
         m,
-        code_from_polynomial(esum) == sum_codes(big_q, big_n),
+        code_from_polynomial(esum) == big_span,
         "e + f - ef generates the sum",
     )
 

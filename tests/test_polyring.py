@@ -8,6 +8,7 @@ from qr2m.errors import NotAUnit, ShapeMismatch
 from qr2m.lincode import code_from_polynomial
 from qr2m.polyring import (
     ZPoly,
+    _mul_raw,
     binary_qr_factors,
     cyclotomic_cosets,
     hensel_lift_factors,
@@ -53,8 +54,8 @@ def test_shape_mismatch():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=9),
-    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=70),
+    st.sampled_from([1, 2, 8, 31, 62]),
     st.data(),
 )
 def test_ring_mul_matches_naive(n, m, data):
@@ -65,6 +66,38 @@ def test_ring_mul_matches_naive(n, m, data):
     fa = ZPoly(n=n, m=m, coeffs=tuple(a))
     fb = ZPoly(n=n, m=m, coeffs=tuple(b))
     assert ring_mul(fa, fb).coeffs == tuple(naive_cyclic_mul(a, b, n, mod))
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 31, 62])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65])
+def test_ring_mul_all_top_coefficients(n, m):
+    # every coefficient 2^m - 1 makes each lane sum as large as it can be
+    top = [(1 << m) - 1] * n
+    f = ZPoly(n=n, m=m, coeffs=tuple(top))
+    assert ring_mul(f, f).coeffs == tuple(naive_cyclic_mul(top, top, n, 1 << m))
+
+
+def test_mul_raw_matches_schoolbook():
+    def schoolbook(a, b, mod):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        out = [c % mod for c in out]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    rng = random.Random(5)
+    for mod in (2, 1 << 8, 1 << 62):
+        top = mod - 1
+        assert _mul_raw([top] * 63, [top] * 200, mod) == schoolbook([top] * 63, [top] * 200, mod)
+        assert _mul_raw([top] * 65, [top] * 9, mod) == schoolbook([top] * 65, [top] * 9, mod)
+        for _ in range(20):
+            a = [rng.randrange(mod) for _ in range(rng.randint(1, 40))]
+            b = [rng.randrange(mod) for _ in range(rng.randint(1, 90))]
+            assert _mul_raw(a, b, mod) == schoolbook(a, b, mod)
+    assert _mul_raw([], [1, 1], 2) == []
 
 
 def test_ring_mul_commutes_and_distributes():
