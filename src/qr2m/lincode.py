@@ -12,9 +12,9 @@ matrix comparison.  No floating point, no column permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import gcd
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -109,7 +109,7 @@ class LinearCode:
             if any(not 0 <= c < mod for c in row):
                 raise ValueError("generator entries out of range")
 
-    @property
+    @cached_property
     def log2_size(self) -> int:
         m = self.m
         return sum(m - _val2(row[self._lead(i)], m) for i, row in enumerate(self.gen))
@@ -198,6 +198,34 @@ def code_from_polynomial(g: ZPoly) -> LinearCode:
         rows.append(tuple(c))
         c = [c[-1]] + c[:-1]
     return canonical_form(rows, g.n, g.m)
+
+
+def code_from_divisor(g: Sequence[int], n: int, m: int) -> LinearCode:
+    """The ideal (g) of Z_{2^m}[x]/(x^n - 1) for a monic divisor g of x^n - 1.
+
+    g is given by its coefficients, constant first, and may have degree
+    up to n.  Write g = t(x) + x^(n-k).  The ideal is free of rank k, and
+    x^k*g = 1 + x^k*t(x) mod x^n - 1 is its word with a 1 at coordinate 0
+    and zeros at 1..k-1.  Row i is x*row(i-1) minus its wrapped
+    coordinate-0 entry times row 0, so the rows are [I_k | A], the unique
+    canonical form of (g), after k packed row operations and no reduction.
+    That g divides x^n - 1 is not checked; code_from_polynomial is the
+    oracle.
+    """
+    if not g or g[-1] != 1:
+        raise ValueError("the generator must be monic")
+    mod = 1 << m
+    k = n + 1 - len(g)
+    width = 2 * m + 1
+    low = (mod - 1) * _ones(n, width)
+    top = width * (n - 1)
+    tail = _pack(g[:-1], width) << (width * k)  # x^k * t(x)
+    row = 1 + tail
+    rows = []
+    for _ in range(k):
+        rows.append(tuple(_unpack(row, n, width, mod - 1)))
+        row = ((row << width) + (mod - (row >> top)) * tail) & low
+    return LinearCode(n=n, m=m, gen=tuple(rows))
 
 
 def _gf2_dependencies(
@@ -315,14 +343,33 @@ def intersect(a: LinearCode, b: LinearCode) -> LinearCode:
     return canonical_form(words, a.n, a.m)
 
 
+def orthogonal(a: LinearCode, b: LinearCode) -> bool:
+    """Whether every word of a pairs to 0 with every word of b.
+
+    Column j of b is packed as in _kernel, entry i in lane i of width
+    2m + n.bit_length() + 1, which holds a whole inner product.  So the
+    products of one row of a with all rows of b are one multiply-add per
+    nonzero entry of that row, and the row is orthogonal to b exactly
+    when every lane vanishes mod 2^m.
+    """
+    if a.n != b.n or a.m != b.m:
+        raise ShapeMismatch("codes live in different ambient rings")
+    n, m = a.n, a.m
+    width = 2 * m + n.bit_length() + 1
+    cols = [_pack([row[j] for row in b.gen], width) for j in range(n)]
+    low = ((1 << m) - 1) * _ones(len(b.gen), width)
+    for row in a.gen:
+        acc = 0
+        for x, col in zip(row, cols):
+            if x:
+                acc += x * col
+        if acc & low:
+            return False
+    return True
+
+
 def is_self_orthogonal(c: LinearCode) -> bool:
-    mod = 1 << c.m
-    gen = c.gen
-    return all(
-        sum(map(mul, r1, r2)) % mod == 0
-        for i, r1 in enumerate(gen)
-        for r2 in gen[i:]
-    )
+    return orthogonal(c, c)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,14 @@ from .errors import (
     PreconditionSignMismatch,
     ShapeMismatch,
 )
-from .lincode import LinearCode, code_from_polynomial
+from .lincode import LinearCode, code_from_divisor, code_from_polynomial
 from .modring import FamilyParams, Modulus, family_params, quad_partition
 from .polyring import (
+    FactorSet,
     ZPoly,
+    _from_zpoly,
+    _mul_raw,
+    _to_zpoly,
     binary_qr_factors,
     hensel_lift_factors,
     is_idempotent,
@@ -358,10 +362,38 @@ def shift_by_h(e: ZPoly, direction: int, params: FamilyParams) -> ZPoly:
 
 
 @lru_cache(maxsize=None)
+def lifted_factors(p: int, m: int) -> FactorSet:
+    """x^p - 1 = (x - 1) f_q f_n over Z/2^m: the Hensel lift of the binary split."""
+    return hensel_lift_factors(binary_qr_factors(p), m)
+
+
+@lru_cache(maxsize=None)
 def lifted_residue_code(p: int, m: int) -> LinearCode:
     """The cyclic code generated by the lifted residue-side factor of x^p-1."""
-    lifted = hensel_lift_factors(binary_qr_factors(p), m)
-    return code_from_polynomial(lifted.f_q)
+    return code_from_polynomial(lifted_factors(p, m).f_q)
+
+
+def _ideal_code(e: ZPoly, lifted: FactorSet) -> LinearCode:
+    """The ideal generated by the span idempotent e, built from its generator.
+
+    The lifted factors of x^p - 1 are monic and pairwise coprime, so the
+    product g of those that divide e divides e as well.  A factor f
+    divides e exactly when e times the cofactor (x^p - 1)/f vanishes in
+    R_p.  Then e*g = g puts g in the ideal of e, the two ideals are equal,
+    and the code is read off g by code_from_divisor.
+    """
+    p, m = e.n, e.m
+    mod = 1 << m
+    factors = [_from_zpoly(f) for f in (lifted.f_unit, lifted.f_q, lifted.f_n)]
+    g = [1]
+    for i, f in enumerate(factors):
+        a, b = factors[:i] + factors[i + 1:]
+        if ring_mul(e, _to_zpoly(_mul_raw(a, b, mod), p, m)).is_zero():
+            g = _mul_raw(g, f, mod)
+    g_poly = _to_zpoly(g, p, m)
+    if ring_mul(e, g_poly) != g_poly:
+        raise AssertionError("the idempotent does not fix its generator")
+    return code_from_divisor(g, p, m)
 
 
 @dataclass(frozen=True)
@@ -420,7 +452,9 @@ def build_family(p: int, m: int) -> QrFamily:
     bare idempotent with a sign requirement on p^2 mod 2^m.  The bare
     generator on the q side is the candidate in the required class whose
     ideal is comparable (as a set) with the lifted residue-factor ideal,
-    taking the lexicographically smallest triple if several qualify.
+    taking the lexicographically smallest triple if several qualify.  The
+    ideal of e lies in the lift ideal L = (f_q) exactly when e is in L,
+    and contains L exactly when e*f_q = f_q.
     """
     params = family_params(p, m)
     mod = 1 << m
@@ -453,10 +487,11 @@ def build_family(p: int, m: int) -> QrFamily:
     tag, bare_class = viable[0]
     candidates = [s for s in sols if s.conjugate_sum == bare_class]
     lift_code = lifted_residue_code(p, m)
+    lifted = lifted_factors(p, m)
     chosen = None
     for cand in candidates:
-        code = code_from_polynomial(cand.as_poly())
-        if lift_code.contains_code(code) or code.contains_code(lift_code):
+        e = cand.as_poly()
+        if lift_code.contains(e.coeffs) or ring_mul(e, lifted.f_q) == lifted.f_q:
             chosen = cand
             break
     if chosen is None:
@@ -478,10 +513,10 @@ def build_family(p: int, m: int) -> QrFamily:
         params=params,
         case_tag=tag,
         coeffs_q=chosen,
-        q=code_from_polynomial(idem_q),
-        q_prime=code_from_polynomial(idem_qp),
-        n=code_from_polynomial(idem_n),
-        n_prime=code_from_polynomial(idem_np),
+        q=_ideal_code(idem_q, lifted),
+        q_prime=_ideal_code(idem_qp, lifted),
+        n=_ideal_code(idem_n, lifted),
+        n_prime=_ideal_code(idem_np, lifted),
         idem_q=idem_q,
         idem_q_prime=idem_qp,
         idem_n=idem_n,

@@ -16,9 +16,8 @@ from .errors import NoCaseApplies, NoValidK, OutOfFamilyRange
 from .lincode import (
     code_from_polynomial,
     dual,
-    intersect,
     is_self_orthogonal,
-    mu_image,
+    orthogonal,
     sum_codes,
 )
 from .modring import (
@@ -27,16 +26,12 @@ from .modring import (
     quad_partition,
     residue_class_counts,
 )
-from .polyring import (
-    binary_qr_factors,
-    hensel_lift_factors,
-    idempotent_from_generator,
-    ring_mul,
-)
+from .polyring import idempotent_from_generator, mu_map, ring_mul
 from .qr import (
     build_family,
     coefficient_system_holds,
     decompose_basis,
+    lifted_factors,
     lifted_residue_code,
     product_identities_report,
     shift_by_h,
@@ -299,13 +294,22 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         and big_n == sum_codes(small_n, shift_code),
         "primed pair adds the all-ones ideal",
     )
-    big_meet = intersect(big_q, big_n)
     big_span = sum_codes(big_q, big_n)
+    meet_size = big_q.log2_size + big_n.log2_size - big_span.log2_size
+
+    def is_big_meet(code) -> bool:
+        # a common subcode of the size |A||B|/|A+B| is the whole of A meet B
+        return (
+            big_q.contains_code(code)
+            and big_n.contains_code(code)
+            and code.log2_size == meet_size
+        )
+
     rep.row(
         "big_pair_intersection",
         p,
         m,
-        big_meet == shift_code,
+        is_big_meet(shift_code),
         "large pair meets in the all-ones ideal",
     )
     rep.row(
@@ -319,15 +323,10 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         "small_pair_intersection",
         p,
         m,
-        intersect(small_q, small_n).is_zero,
+        sum_codes(small_q, small_n).log2_size
+        == small_q.log2_size + small_n.log2_size,
         "small pair meets trivially",
     )
-    duals = {
-        "q": dual(fam.q),
-        "qprime": dual(fam.q_prime),
-        "n": dual(fam.n),
-        "nprime": dual(fam.n_prime),
-    }
     codes = {
         "q": fam.q,
         "qprime": fam.q_prime,
@@ -335,12 +334,24 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         "nprime": fam.n_prime,
     }
     pairing = {}
-    for name, d in duals.items():
-        partner = [other for other, c in codes.items() if c == d]
-        pairing[name] = partner[0] if partner else None
+    for name, c in codes.items():
+        # D is the dual of C exactly when they are orthogonal and |C||D| = 2^(mp)
+        partners = (
+            other
+            for other, d in codes.items()
+            if c.log2_size + d.log2_size == m * p and orthogonal(c, d)
+        )
+        pairing[name] = next(partners, None)
     if eps < 0:
         expected = {"q": "qprime", "qprime": "q", "n": "nprime", "nprime": "n"}
-        rep.row("dual_pairing", p, m, pairing == expected, f"pairing {pairing}")
+    else:
+        expected = {"q": "nprime", "nprime": "q", "n": "qprime", "qprime": "n"}
+    # the generic kernel stays in the sweep as the oracle for one partner
+    oracle_ok = dual(fam.q) == codes.get(pairing["q"])
+    rep.row(
+        "dual_pairing", p, m, pairing == expected and oracle_ok, f"pairing {pairing}"
+    )
+    if eps < 0:
         rep.row(
             "small_self_orthogonal",
             p,
@@ -349,8 +360,6 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
             "small codes sit inside their duals",
         )
     else:
-        expected = {"q": "nprime", "nprime": "q", "n": "qprime", "qprime": "n"}
-        rep.row("dual_pairing", p, m, pairing == expected, f"pairing {pairing}")
         self_orth = {name: is_self_orthogonal(c) for name, c in codes.items()}
         rep.row(
             "no_self_orthogonal_member",
@@ -377,18 +386,21 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         big_q == lift_code,
         "large q-side code is the lifted residue factor ideal",
     )
-    lifted = hensel_lift_factors(binary_qr_factors(p), m)
     rep.row(
         "lift_idempotent",
         p,
         m,
-        idempotent_from_generator(lifted.f_q) == idem_big_q,
+        idempotent_from_generator(lifted_factors(p, m).f_q) == idem_big_q,
         "generating idempotent of the lifted factor ideal",
     )
-    part = quad_partition(p)
+    # mu_u maps the ideal of e onto the ideal of mu_u(e), and equal ideals
+    # have equal idempotents
     found = None
-    for u in part.n:
-        if mu_image(fam.q, u) == fam.n and mu_image(fam.q_prime, u) == fam.n_prime:
+    for u in quad_partition(p).n:
+        if (
+            mu_map(fam.idem_q, u) == fam.idem_n
+            and mu_map(fam.idem_q_prime, u) == fam.idem_n_prime
+        ):
             found = u
             break
     rep.row(
@@ -403,7 +415,7 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         "intersection_idempotent_route",
         p,
         m,
-        code_from_polynomial(prod) == big_meet,
+        is_big_meet(code_from_polynomial(prod)),
         "product idempotent generates the intersection",
     )
     esum = idem_big_q + idem_big_n - prod

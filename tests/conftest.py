@@ -1,3 +1,19 @@
+import pytest
+
+# The constructible points of the wide grid: primes p < 200 with
+# p = +-1 mod 8, at 4 <= m <= 8.
+CONSTRUCTIBLE = (
+    (7, 4), (17, 5), (23, 4), (31, 6), (41, 4), (47, 5), (71, 4), (73, 4),
+    (79, 5), (89, 4), (97, 6), (103, 4), (113, 5), (127, 8), (137, 4),
+    (151, 4), (167, 4), (191, 7), (193, 7), (199, 4),
+)
+
+
+@pytest.fixture(scope="session")
+def constructible_points():
+    return CONSTRUCTIBLE
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     try:
         from _acceptance_log import LINES

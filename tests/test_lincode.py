@@ -19,6 +19,7 @@ from qr2m.lincode import (
     is_self_orthogonal,
     min_weight,
     mu_image,
+    orthogonal,
     puncture,
     sum_codes,
 )
@@ -339,3 +340,56 @@ def test_intersection_and_sum_sizes_at_lane_widths(data):
     both = intersect(a, b)
     assert a.contains_code(both) and b.contains_code(both)
     assert both.log2_size + sum_codes(a, b).log2_size == a.log2_size + b.log2_size
+
+
+@settings(max_examples=60, deadline=None)
+@given(generating_sets(), st.data())
+def test_orthogonality_and_size_decide_the_dual(gen_set, data):
+    rows, n, m = gen_set
+    a = canonical_form(rows, n, m)
+    if data.draw(st.booleans()):
+        b = dual(a)
+    else:
+        b = canonical_form(data.draw(generating_sets(m=m, n=n))[0], n, m)
+    criterion = orthogonal(a, b) and a.log2_size + b.log2_size == m * n
+    assert (b == dual(a)) == criterion
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_size_criteria_for_meets_agree_with_intersect(data):
+    rows_a, n, m = data.draw(generating_sets())
+    rows_b, _, _ = data.draw(generating_sets(m=m, n=n))
+    rows_c, _, _ = data.draw(generating_sets(m=m, n=n))
+    mod = 1 << m
+    a = canonical_form(rows_a, n, m)
+    b = canonical_form(rows_b, n, m)
+    both = intersect(a, b)
+    span_size = sum_codes(a, b).log2_size
+    assert both.is_zero == (span_size == a.log2_size + b.log2_size)
+    # the meet, a proper subcode of it, the two codes and an unrelated code
+    halved = canonical_form([[2 * x % mod for x in r] for r in both.gen], n, m)
+    for cand in (both, halved, a, b, canonical_form(rows_c, n, m)):
+        criterion = (
+            a.contains_code(cand)
+            and b.contains_code(cand)
+            and cand.log2_size == a.log2_size + b.log2_size - span_size
+        )
+        assert criterion == (cand == both)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generating_sets(), st.booleans())
+def test_self_orthogonality_matches_pairwise_products(gen_set, meet_dual):
+    rows, n, m = gen_set
+    mod = 1 << m
+    code = canonical_form(rows, n, m)
+    if meet_dual:
+        # C meet its dual is always self-orthogonal
+        code = intersect(code, dual(code))
+    pairwise = all(
+        sum(x * y for x, y in zip(r1, r2)) % mod == 0
+        for r1 in code.gen
+        for r2 in code.gen
+    )
+    assert is_self_orthogonal(code) == pairwise

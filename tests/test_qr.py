@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from qr2m.errors import (
@@ -6,9 +8,25 @@ from qr2m.errors import (
     PreconditionSignMismatch,
     ShapeMismatch,
 )
-from qr2m.lincode import dual, intersect, is_self_orthogonal, sum_codes
+from qr2m.lincode import (
+    code_from_divisor,
+    code_from_polynomial,
+    dual,
+    intersect,
+    is_self_orthogonal,
+    sum_codes,
+)
 from qr2m.modring import family_params, is_odd_prime
-from qr2m.polyring import ZPoly, is_idempotent, mu_map, ring_mul
+from qr2m.polyring import (
+    ZPoly,
+    _from_zpoly,
+    _mul_raw,
+    binary_qr_factors,
+    hensel_lift_factors,
+    is_idempotent,
+    mu_map,
+    ring_mul,
+)
 from qr2m.qr import (
     IdempotentCoeffs,
     _lift_span,
@@ -18,6 +36,7 @@ from qr2m.qr import (
     build_family,
     coefficient_system_holds,
     decompose_basis,
+    lifted_factors,
     lifted_residue_code,
     product_identities_report,
     shift_by_h,
@@ -245,3 +264,52 @@ def test_span_idempotents_matches_scan_oracle():
     points = [(p, m) for p in grid for m in (4, 5)] + [(23, 6), (41, 6)]
     for p, m in points:
         assert span_idempotents(p, m) == tuple(sorted(_scan_span(p, m)))
+
+
+DIVISOR_POINTS = [
+    (p, m) for p in (7, 17, 23, 31, 41) for m in (1, 4, 8, 62)
+] + [(127, 8)]
+
+
+@pytest.mark.parametrize("p,m", DIVISOR_POINTS)
+def test_divisor_codes_match_rotation_spans(p, m):
+    # every monic divisor of x^p - 1 made of the lifted factors, from 1 to
+    # x^p - 1 itself (the zero ideal)
+    mod = 1 << m
+    lifted = lifted_factors(p, m)
+    factors = [_from_zpoly(f) for f in (lifted.f_unit, lifted.f_q, lifted.f_n)]
+    for subset in itertools.product((False, True), repeat=3):
+        g = [1]
+        for keep, f in zip(subset, factors):
+            if keep:
+                g = _mul_raw(g, f, mod)
+        folded = [0] * p
+        for i, c in enumerate(g):
+            folded[i % p] += c
+        want = code_from_polynomial(ZPoly(p, m, tuple(folded)))
+        assert code_from_divisor(g, p, m) == want
+
+
+def test_divisor_code_needs_a_monic_generator():
+    with pytest.raises(ValueError):
+        code_from_divisor([1, 3], 7, 2)
+
+
+def test_family_matches_the_rotation_span_route(constructible_points):
+    for p, m in constructible_points:
+        fam = build_family(p, m)
+        # the candidate choice and codes of the route by rotation spans
+        lift = code_from_polynomial(hensel_lift_factors(binary_qr_factors(p), m).f_q)
+        chosen = None
+        for cand in solve_idempotent_system(p, m):
+            if cand.conjugate_sum != fam.coeffs_q.conjugate_sum:
+                continue
+            code = code_from_polynomial(cand.as_poly())
+            if lift.contains_code(code) or code.contains_code(lift):
+                chosen = cand
+                break
+        assert chosen == fam.coeffs_q
+        assert fam.q == code_from_polynomial(fam.idem_q)
+        assert fam.q_prime == code_from_polynomial(fam.idem_q_prime)
+        assert fam.n == code_from_polynomial(fam.idem_n)
+        assert fam.n_prime == code_from_polynomial(fam.idem_n_prime)

@@ -96,3 +96,10 @@ def test_widest_family_point_passes():
     assert report["summary"]["failed"] == 0
     family = [c for c in report["checks"] if c["name"] == "family_case"]
     assert [c["status"] for c in family] == ["pass"]
+
+
+def test_constructible_grid_points_verify_cleanly(constructible_points):
+    for p, m in constructible_points:
+        report = run_verification([p], [m])
+        assert report["summary"]["failed"] == 0, (p, m)
+        assert any(c["name"] == "family_case" for c in report["checks"]), (p, m)
