@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import padic
 from .errors import BudgetExceeded, NoCaseApplies, OutOfFamilyRange, Qr2mError
 from .lincode import DEFAULT_BUDGET, code_from_polynomial, min_weight
-from .modring import family_params, quad_partition
+from .modring import Modulus, family_params, quad_partition
 from .polyring import binary_qr_factors, hensel_lift_factors
 from .qr import (
     basis_vectors,
@@ -330,6 +330,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "m" in vars(args):
+            Modulus(args.m)  # a bad m exits 2 before any p-sized work
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

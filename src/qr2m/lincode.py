@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadPosition,
@@ -29,11 +29,25 @@ from .polyring import ZPoly, _ones, _pack, _unpack, mu_map
 DEFAULT_BUDGET = 1 << 20
 
 
-def _val2(x: int, m: int) -> int:
-    """2-adic valuation of x mod 2^m, with v(0) = m."""
-    if x == 0:
-        return m
-    return (x & -x).bit_length() - 1
+def _lane_width(n: int, m: int) -> int:
+    """Lane width for Z_{2^m}^n: room for a sum of 2n products below 4^m."""
+    return 2 * m + n.bit_length() + 1
+
+
+def _reduce(
+    r: int, piv: dict[int, tuple[int, int]], width: int, mod: int, low: int
+) -> int:
+    """Clear r's leading entry while the pivot of its column (in piv, as
+    _howell keeps them) has no larger valuation.  Against a Howell form the
+    remainder is 0 exactly when r lies in the code."""
+    while r:
+        bit = (r & -r).bit_length() - 1
+        incumbent = piv.get(bit // width)
+        if incumbent is None or incumbent[0] > bit:
+            break
+        shift, prow = incumbent
+        r = (r + (mod - ((r >> shift) & (mod - 1))) * prow) & low
+    return r
 
 
 def _howell(rows: Iterable[int], n: int, m: int, width: int) -> list[int]:
@@ -46,34 +60,26 @@ def _howell(rows: Iterable[int], n: int, m: int, width: int) -> list[int]:
     big-int multiply, add and mask.  The lowest set bit of a row gives its
     leading column (bit // width) and that entry's valuation (bit % width).
 
-    Worklist echelonization: normalize each incoming row so its leading
-    entry is a power of two, install it as the pivot for its leading
-    column or reduce it by the incumbent (the smaller valuation wins),
-    and queue 2^(m-v) times every installed row so the span stays closed
-    under pivot annihilation.  A final left-to-right pass reduces the
-    entries above each pivot below the pivot's power of two.  Returns the
-    packed rows in leading-column order.
+    Worklist echelonization: reduce each incoming row (_reduce), normalize
+    its leading entry to a power of two, install it as the pivot of its
+    column (a displaced incumbent is requeued), and queue 2^(m-v) times
+    it so the span stays closed under pivot annihilation.  A final pass
+    reduces the entries above each pivot below it.  Returns the packed
+    rows in leading-column order.
     """
     mod = 1 << m
     low = (mod - 1) * _ones(n, width)
     piv: dict[int, tuple[int, int]] = {}  # column -> (lowest set bit, row)
     queue = [r for r in rows if r]
     while queue:
-        r = queue.pop()
-        while True:
-            bit = (r & -r).bit_length() - 1
-            lead = bit // width
-            incumbent = piv.get(lead)
-            if incumbent is None or incumbent[0] > bit:
-                break
-            shift, prow = incumbent
-            r = (r + (mod - ((r >> shift) & (mod - 1))) * prow) & low
-            if not r:
-                break
+        r = _reduce(queue.pop(), piv, width, mod, low)
         if not r:
             continue
+        bit = (r & -r).bit_length() - 1
+        lead = bit // width
         v = bit - width * lead
         r = r * pow((r >> bit) & (mod - 1), -1, mod) & low
+        incumbent = piv.get(lead)
         piv[lead] = (bit, r)
         if incumbent is not None:
             queue.append(incumbent[1])
@@ -94,100 +100,110 @@ def _howell(rows: Iterable[int], n: int, m: int, width: int) -> list[int]:
 
 @dataclass(frozen=True)
 class LinearCode:
-    """A submodule of Z_{2^m}^n held by its canonical generator matrix."""
+    """A submodule of Z_{2^m}^n held by its canonical (Howell) rows, each
+    lane-packed in lanes of _lane_width(n, m) bits; gen is the tuple view."""
 
     n: int
     m: int
-    gen: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
         Modulus(self.m)
-        mod = 1 << self.m
-        for row in self.gen:
-            if len(row) != self.n:
-                raise ShapeMismatch("generator row length differs from n")
-            if any(not 0 <= c < mod for c in row):
-                raise ValueError("generator entries out of range")
+        if any(row & ~self._low for row in self.rows):
+            raise ValueError("generator row has an entry outside 0..2^m - 1")
+
+    @cached_property
+    def _width(self) -> int:
+        return _lane_width(self.n, self.m)
+
+    @cached_property
+    def _low(self) -> int:
+        return ((1 << self.m) - 1) * _ones(self.n, self._width)
+
+    @cached_property
+    def _pivots(self) -> dict[int, tuple[int, int]]:
+        """Leading column -> (lowest set bit, row), as _howell keeps them."""
+        bits = [(r & -r).bit_length() - 1 for r in self.rows]
+        return {b // self._width: (b, r) for b, r in zip(bits, self.rows)}
 
     @cached_property
     def log2_size(self) -> int:
-        m = self.m
-        return sum(m - _val2(row[self._lead(i)], m) for i, row in enumerate(self.gen))
+        m, width = self.m, self._width
+        return sum(m - bit % width for bit, _ in self._pivots.values())
 
-    def _lead(self, i: int) -> int:
-        row = self.gen[i]
-        return next(c for c in range(self.n) if row[c])
+    @cached_property
+    def gen(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self._entries, self.rows))
+
+    @cached_property
+    def _cols(self) -> list[int]:
+        """Column j of the canonical rows, packed with row i's entry in lane i."""
+        cols = zip(*self.gen) if self.rows else [()] * self.n
+        return [_pack(col, self._width) for col in cols]
 
     def cardinality(self) -> int:
         return 1 << self.log2_size
 
     @property
     def is_zero(self) -> bool:
-        return not self.gen
+        return not self.rows
+
+    def _entries(self, r: int) -> tuple[int, ...]:
+        return tuple(_unpack(r, self.n, self._width, (1 << self.m) - 1))
+
+    def _remainder(self, r: int) -> int:
+        return _reduce(r, self._pivots, self._width, 1 << self.m, self._low)
 
     def contains(self, vec: Sequence[int]) -> bool:
-        """Membership by reduction against the canonical rows."""
+        """Membership: vec reduces to 0 against the canonical rows."""
         if len(vec) != self.n:
             raise ShapeMismatch(f"vector length {len(vec)} in a length-{self.n} code")
         mod = 1 << self.m
-        work = [c % mod for c in vec]
-        for i, row in enumerate(self.gen):
-            lead = self._lead(i)
-            if work[lead]:
-                v = _val2(row[lead], self.m)
-                if _val2(work[lead], self.m) < v:
-                    return False
-                f = work[lead] >> v
-                work = [(a - f * b) % mod for a, b in zip(work, row)]
-        return not any(work)
+        return not self._remainder(_pack([c % mod for c in vec], self._width))
 
     def contains_code(self, other: "LinearCode") -> bool:
-        return all(self.contains(row) for row in other.gen)
+        if other.n != self.n or other.m != self.m:
+            raise ShapeMismatch("codes live in different ambient rings")
+        return not any(map(self._remainder, other.rows))
 
-    def codewords(self):
-        """Yield every codeword exactly once, as tuples (coefficient odometer)."""
-        if not self.gen:
-            yield (0,) * self.n
-            return
-        mod = 1 << self.m
-        caps = [
-            1 << (self.m - _val2(row[self._lead(i)], self.m))
-            for i, row in enumerate(self.gen)
-        ]
-        wrapfix = [
-            [(-cap * c) % mod for c in row] for cap, row in zip(caps, self.gen)
-        ]
-        word = [0] * self.n
-        digits = [0] * len(self.gen)
+    def _words(self) -> Iterator[int]:
+        """Every codeword once, lane-packed: an odometer over the multiples
+        0..2^(m-v) - 1 of each row with pivot 2^v, one add and mask a step
+        (a wrap takes back 2^(m-v) - 1 times the row)."""
+        m, width, low = self.m, self._width, self._low
+        top = (1 << m) * _ones(self.n, width)
+        steps = []
+        for bit, row in self._pivots.values():
+            cap = 1 << (m - bit % width)
+            steps.append((cap, row, top - ((cap - 1) * row & low)))
+        digits = [0] * len(steps)
+        word = 0
         while True:
-            yield tuple(word)
-            i = 0
-            while i < len(digits):
-                row = self.gen[i]
-                word = [(a + b) % mod for a, b in zip(word, row)]
+            yield word
+            for i, (cap, row, back) in enumerate(steps):
                 digits[i] += 1
-                if digits[i] < caps[i]:
+                if digits[i] < cap:
+                    word = (word + row) & low
                     break
                 digits[i] = 0
-                word = [(a + b) % mod for a, b in zip(word, wrapfix[i])]
-                i += 1
+                word = (word + back) & low
             else:
                 return
+
+    def codewords(self) -> Iterator[tuple[int, ...]]:
+        return map(self._entries, self._words())
 
 
 def canonical_form(rows: Iterable[Sequence[int]], n: int, m: int) -> LinearCode:
     """Canonicalize any generating set into a LinearCode."""
     mod = 1 << m
-    width = 2 * m + 1
+    width = _lane_width(n, m)
     packed = []
     for r in rows:
         if len(r) != n:
             raise ShapeMismatch(f"row length {len(r)} in a length-{n} code")
         packed.append(_pack([c % mod for c in r], width))
-    reduced = _howell(packed, n, m, width)
-    return LinearCode(
-        n=n, m=m, gen=tuple(tuple(_unpack(r, n, width, mod - 1)) for r in reduced)
-    )
+    return LinearCode(n, m, tuple(_howell(packed, n, m, width)))
 
 
 def code_from_polynomial(g: ZPoly) -> LinearCode:
@@ -216,16 +232,16 @@ def code_from_divisor(g: Sequence[int], n: int, m: int) -> LinearCode:
         raise ValueError("the generator must be monic")
     mod = 1 << m
     k = n + 1 - len(g)
-    width = 2 * m + 1
+    width = _lane_width(n, m)
     low = (mod - 1) * _ones(n, width)
     top = width * (n - 1)
     tail = _pack(g[:-1], width) << (width * k)  # x^k * t(x)
     row = 1 + tail
     rows = []
     for _ in range(k):
-        rows.append(tuple(_unpack(row, n, width, mod - 1)))
+        rows.append(row)
         row = ((row << width) + (mod - (row >> top)) * tail) & low
-    return LinearCode(n=n, m=m, gen=tuple(rows))
+    return LinearCode(n, m, tuple(rows))
 
 
 def _gf2_dependencies(
@@ -257,27 +273,23 @@ def _gf2_dependencies(
     return found
 
 
-def _kernel(rows: Sequence[Sequence[int]], n: int, m: int) -> list[list[int]]:
-    """Howell-form generators of {u in Z_{2^m}^n : rows . u = 0 mod 2^m}.
+def _kernel(cols: Sequence[int], height: int, m: int, width: int) -> list[int]:
+    """Howell rows of {u : sum_j u_j * cols[j] = 0 mod 2^m}, packed in width.
 
-    Digit lifting.  Mod 2 the kernel is the GF(2) null space of the rows.
-    Given generators of the kernel mod 2^l, a word sum(eps_t g_t) + 2^l w
-    (eps, w over GF(2)) is in the kernel mod 2^(l+1) exactly when
-    sum(eps_t s_t) + (rows mod 2) . w = 0 over GF(2), where s_t is the
-    obstruction (rows . g_t mod 2^(l+1)) >> l.  Each level solves that
-    system and Howell-reduces its solutions together with the doubles of
-    the old generators, which always lift and keep the set complete.
-
-    Vectors are lane-packed (see _howell) with lane width
-    W = 2m + n.bit_length() + 1, which holds a whole inner product
-    rows[i] . g.  Column j of the rows is packed too, entry i in lane i,
-    so all of rows . g is one multiply-add per nonzero entry of g, and
-    bit l of each lane is the obstruction, already a GF(2) column.
+    cols[j] is column j of a matrix with height rows, row i's entry in
+    lane i, so the matrix times u is one multiply-add per nonzero u_j and
+    bit l of each lane is a GF(2) column.  Digit lifting: mod 2 the kernel
+    is the GF(2) null space.  Given generators of the kernel mod 2^l, a
+    word sum(eps_t g_t) + 2^l w (eps, w over GF(2)) is in the kernel mod
+    2^(l+1) exactly when sum(eps_t s_t) + (matrix mod 2) . w = 0 over
+    GF(2), where s_t is the obstruction (matrix . g_t mod 2^(l+1)) >> l.
+    Each level solves that system and Howell-reduces its solutions with
+    the doubles of the old generators, which always lift and keep the set
+    complete; the last level is Howell at 2^m, the canonical form.
     """
-    width = 2 * m + n.bit_length() + 1
+    n = len(cols)
     lanes = _ones(n, width)
-    row_bits = _ones(len(rows), width)
-    cols = [_pack([row[j] for row in rows], width) for j in range(n)]
+    row_bits = _ones(height, width)
     # unknown w_j is tagged by bit 0 of lane j, so a solution's w part is
     # already a packed 0/1 vector; eps_t is tagged by bit width*n + t
     pivots: dict[int, tuple[int, int]] = {}
@@ -288,10 +300,8 @@ def _kernel(rows: Sequence[Sequence[int]], n: int, m: int) -> list[list[int]]:
     for level in range(1, m):
         obstructions = []
         for g in gens:
-            acc = 0
-            for x, col in zip(_unpack(g, n, width, (1 << level) - 1), cols):
-                if x:
-                    acc += x * col
+            entries = _unpack(g, n, width, (1 << level) - 1)
+            acc = sum(x * col for x, col in zip(entries, cols) if x)
             obstructions.append((acc >> level) & row_bits)
         found = _gf2_dependencies(
             dict(pivots),
@@ -309,63 +319,48 @@ def _kernel(rows: Sequence[Sequence[int]], n: int, m: int) -> list[list[int]]:
             new_gens.append(cand & low)
         new_gens.extend(g << 1 for g in gens)
         gens = _howell(new_gens, n, level + 1, width)
-    return [_unpack(g, n, width, (1 << m) - 1) for g in gens]
+    return gens
 
 
 def dual(c: LinearCode) -> LinearCode:
     """The annihilator code under the standard inner product."""
-    return canonical_form(_kernel(c.gen, c.n, c.m), c.n, c.m)
+    return LinearCode(c.n, c.m, tuple(_kernel(c._cols, len(c.rows), c.m, c._width)))
 
 
 def sum_codes(a: LinearCode, b: LinearCode) -> LinearCode:
     if a.n != b.n or a.m != b.m:
         raise ShapeMismatch("codes live in different ambient rings")
-    return canonical_form(list(a.gen) + list(b.gen), a.n, a.m)
+    return LinearCode(a.n, a.m, tuple(_howell(a.rows + b.rows, a.n, a.m, a._width)))
 
 
 def intersect(a: LinearCode, b: LinearCode) -> LinearCode:
-    """Pullback construction: solve s.A = t.B, return the common words."""
+    """Pullback construction: the rows of A and B are the columns of
+    s.A + t.B = 0, and each kernel vector (s, t) gives the common word s.A."""
     if a.n != b.n or a.m != b.m:
         raise ShapeMismatch("codes live in different ambient rings")
-    ra, rb = len(a.gen), len(b.gen)
-    if ra == 0 or rb == 0:
-        return canonical_form([], a.n, a.m)
-    stacked = list(a.gen) + list(b.gen)
-    transposed = [[stacked[i][j] for i in range(ra + rb)] for j in range(a.n)]
-    mod = 1 << a.m
+    n, m, width = a.n, a.m, a._width
     words = []
-    for x in _kernel(transposed, ra + rb, a.m):
-        word = [0] * a.n
-        for i in range(ra):
-            if x[i]:
-                word = [(w + x[i] * g) % mod for w, g in zip(word, a.gen[i])]
-        words.append(word)
-    return canonical_form(words, a.n, a.m)
+    for x in _kernel(a.rows + b.rows, n, m, width):
+        s = _unpack(x, len(a.rows), width, (1 << m) - 1)
+        words.append(sum(f * row for f, row in zip(s, a.rows) if f) & a._low)
+    return LinearCode(n, m, tuple(_howell(words, n, m, width)))
 
 
 def orthogonal(a: LinearCode, b: LinearCode) -> bool:
     """Whether every word of a pairs to 0 with every word of b.
 
-    Column j of b is packed as in _kernel, entry i in lane i of width
-    2m + n.bit_length() + 1, which holds a whole inner product.  So the
-    products of one row of a with all rows of b are one multiply-add per
-    nonzero entry of that row, and the row is orthogonal to b exactly
-    when every lane vanishes mod 2^m.
+    With b's columns packed, entry i in lane i, the products of one row of
+    a with all rows of b are one multiply-add per nonzero entry of that
+    row, and the row is orthogonal to b exactly when every lane vanishes
+    mod 2^m.
     """
     if a.n != b.n or a.m != b.m:
         raise ShapeMismatch("codes live in different ambient rings")
-    n, m = a.n, a.m
-    width = 2 * m + n.bit_length() + 1
-    cols = [_pack([row[j] for row in b.gen], width) for j in range(n)]
-    low = ((1 << m) - 1) * _ones(len(b.gen), width)
-    for row in a.gen:
-        acc = 0
-        for x, col in zip(row, cols):
-            if x:
-                acc += x * col
-        if acc & low:
-            return False
-    return True
+    cols = b._cols
+    low = ((1 << a.m) - 1) * _ones(len(b.rows), a._width)
+    return not any(
+        sum(x * col for x, col in zip(row, cols) if x) & low for row in a.gen
+    )
 
 
 def is_self_orthogonal(c: LinearCode) -> bool:
@@ -395,33 +390,29 @@ def is_even_like(v: Sequence[int], m: int) -> bool:
     return sum(v) % Modulus(m).value == 0
 
 
-def _scan_words(words, n: int, m: int) -> WeightReport:
-    mod = 1 << m
+def _scan_words(words: Iterable[int], c: LinearCode) -> WeightReport:
+    """Weight report over packed words shaped like c.  Adding 2^m - 1 to each
+    lane sets bit m of the nonzero ones; mod 2^W - 1 a word is its lane sum."""
+    n, m, width = c.n, c.m, c._width
+    flags = _ones(n, width) << m
+    fold = (1 << width) - 1
+    mask = (1 << m) - 1
     best = n + 1
     count = 0
     all_odd = True
-    seen_any = False
     for word in words:
-        w = sum(1 for x in word if x)
-        if w == 0:
+        w = ((word + c._low) & flags).bit_count()
+        if w == 0 or w > best:
             continue
-        seen_any = True
+        odd = (word % fold) & mask != 0
         if w < best:
-            best = w
-            count = 1
-            all_odd = sum(word) % mod != 0
-        elif w == best:
+            best, count, all_odd = w, 1, odd
+        else:
             count += 1
-            if sum(word) % mod == 0:
-                all_odd = False
-    if not seen_any:
+            all_odd = all_odd and odd
+    if best > n:
         raise NoNonzeroWords("the zero code has no nonzero words")
-    return WeightReport(
-        min_weight=best,
-        min_weight_count=count,
-        all_min_odd_like=all_odd,
-        enumerated=True,
-    )
+    return WeightReport(best, count, all_odd, enumerated=True)
 
 
 def _coordinate_code(n: int, m: int, support: Iterable[int], scale: int) -> LinearCode:
@@ -451,10 +442,11 @@ def min_weight(c: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
         raise BudgetExceeded(
             f"2^{socle.log2_size} socle words exceed the budget of {budget}"
         )
+    # socle entries are 0 or 2^(m-1): popcount is weight, bit m-1 is support
     best = n + 1
     lightest = []
-    for word in socle.codewords():
-        w = n - word.count(0)
+    for word in socle._words():
+        w = word.bit_count()
         if w == 0 or w > best:
             continue
         if w < best:
@@ -463,7 +455,7 @@ def min_weight(c: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
         lightest.append(word)
     shortened = []
     for word in lightest:
-        support = [i for i in range(n) if word[i]]
+        support = [i for i in range(n) if word >> (c._width * i + m - 1) & 1]
         short = intersect(c, _coordinate_code(n, m, support, 1))
         spent += 1 << short.log2_size
         if spent > budget:
@@ -471,7 +463,7 @@ def min_weight(c: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
                 f"{spent} socle and shortened-code words exceed the budget of {budget}"
             )
         shortened.append(short)
-    return _scan_words(chain.from_iterable(s.codewords() for s in shortened), n, m)
+    return _scan_words(chain.from_iterable(s._words() for s in shortened), c)
 
 
 def extend(c: LinearCode) -> LinearCode:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qr2m
 from qr2m.cli import ConfigError, main, parse_config_text
 
 
@@ -216,6 +221,33 @@ def test_out_of_range_m_is_a_usage_error(capsys, command, extra, m):
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("m", ["0", "63"])
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("identities", ()),
+        ("idempotents", ()),
+        ("family", ()),
+        ("weight", ("--code", "lift")),
+        ("padic", ()),
+        ("lift", ()),
+    ],
+)
+def test_bad_m_is_rejected_before_work_on_p(command, extra, m):
+    # at p = 10^9 + 7 any work on p before m is checked runs for minutes
+    src = str(Path(qr2m.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qr2m", command, "1000000007", m, *extra],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

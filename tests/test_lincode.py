@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qr2m.errors import BadPosition, BudgetExceeded, NoNonzeroWords, ShapeMismatch
 from qr2m.lincode import (
     LinearCode,
+    _lane_width,
     canonical_form,
     code_from_polynomial,
     dual,
@@ -299,7 +300,8 @@ def test_canonical_form_invariant_at_lane_widths(gen_set, data):
     rows, n, m = gen_set
     mod = 1 << m
     code = canonical_form(rows, n, m)
-    # the list-based membership test is independent of the packed reduction
+    # contains is checked against a list-based oracle in
+    # test_membership_matches_list_oracle
     assert all(code.contains(r) for r in rows)
     coeff = st.integers(min_value=0, max_value=mod - 1)
     index = st.integers(min_value=0, max_value=len(rows) - 1)
@@ -393,3 +395,109 @@ def test_self_orthogonality_matches_pairwise_products(gen_set, meet_dual):
         for r2 in code.gen
     )
     assert is_self_orthogonal(code) == pairwise
+
+
+def list_contains(code, vec):
+    """Membership by list-based reduction against the canonical rows."""
+    m, mod = code.m, 1 << code.m
+    work = [c % mod for c in vec]
+    for row in code.gen:
+        lead = next(c for c in range(code.n) if row[c])
+        if work[lead]:
+            v = (row[lead] & -row[lead]).bit_length() - 1
+            if (work[lead] & -work[lead]).bit_length() - 1 < v:
+                return False
+            f = work[lead] >> v
+            work = [(a - f * b) % mod for a, b in zip(work, row)]
+    return not any(work)
+
+
+@settings(max_examples=80, deadline=None)
+@given(generating_sets(), st.data())
+def test_membership_matches_list_oracle(gen_set, data):
+    rows, n, m = gen_set
+    mod = 1 << m
+    code = canonical_form(rows, n, m)
+    coeff = st.integers(min_value=0, max_value=mod - 1)
+    vector = st.lists(coeff, min_size=n, max_size=n)
+    probes = [data.draw(vector) for _ in range(4)]
+    for _ in range(4):
+        cs = data.draw(st.lists(coeff, min_size=len(rows), max_size=len(rows)))
+        member = [sum(map(mul, cs, col)) % mod for col in zip(*rows)] or [0] * n
+        assert code.contains(member) and list_contains(code, member)
+        # one entry moved by a power of two: often just outside the code
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+        j = data.draw(st.integers(min_value=0, max_value=m - 1))
+        member[i] = (member[i] + (1 << j)) % mod
+        probes.append(member)
+    for probe in probes:
+        assert code.contains(probe) == list_contains(code, probe)
+    for sub in (probes[:2], probes[4:], probes):
+        other = canonical_form(sub, n, m)
+        oracle = all(list_contains(code, r) for r in other.gen)
+        assert code.contains_code(other) == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(generating_sets(min_rows=1), st.data())
+def test_packed_rows_are_range_checked(gen_set, data):
+    rows, n, m = gen_set
+    code = canonical_form(rows, n, m)
+    assert LinearCode(n, m, code.rows) == code
+    width = _lane_width(n, m)
+    row = code.rows[0] if code.rows else 0
+    lane = data.draw(st.integers(min_value=0, max_value=n - 1))
+    high = data.draw(st.integers(min_value=m, max_value=width - 1))
+    for bad in (
+        row | (1 << (width * lane + high)),  # an entry of 2^m or more
+        row | (1 << (width * n)),  # a bit above lane n - 1
+        -1 - row,  # a negative int
+    ):
+        with pytest.raises(ValueError):
+            LinearCode(n, m, (bad,) + code.rows[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_odometer_and_tuple_view_at_wide_lanes(data):
+    m = data.draw(st.sampled_from((8, 16, 62)))
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    # k rows of additive order at most 2^s span at most 2^(k*s) <= 2^10 words
+    s = data.draw(st.integers(min_value=1, max_value=min(m, 10 // k)))
+    entry = st.integers(min_value=0, max_value=(1 << m) - 1)
+    rows = [
+        [(x << (m - s)) % (1 << m) for x in data.draw(st.lists(entry, min_size=n, max_size=n))]
+        for _ in range(k)
+    ]
+    code = canonical_form(rows, n, m)
+    assert code.log2_size <= 10
+    span = set()
+    for cs in itertools.product(range(1 << s), repeat=k):
+        span.add(tuple(sum(map(mul, cs, col)) % (1 << m) for col in zip(*rows)))
+    words = list(code.codewords())
+    assert len(words) == len(set(words)) == code.cardinality()
+    assert set(words) == span
+    assert canonical_form(code.gen, n, m) == code
+    d = dual(code)
+    assert canonical_form(d.gen, n, m) == d
+
+
+
+@pytest.mark.parametrize("m", (1, 8, 62))
+@pytest.mark.parametrize("n", (7, 15, 31))
+def test_pairings_near_the_lane_width(n, m):
+    # with t = 2^m - 1 each pairing of u with a row of b sums to about
+    # (n - 3) * 4^m before it vanishes mod 2^m, so a lane narrower than
+    # 2m + n.bit_length() bits carries into the next one
+    mod = 1 << m
+    t = mod - 1
+    y = -(n - 2) % mod
+    u = [1, 1] + [t] * (n - 3) + [1]
+    rows = [[1, 0] + [t] * (n - 3) + [y], [0, 1] + [t] * (n - 3) + [y]]
+    a = canonical_form([u], n, m)
+    b = canonical_form(rows, n, m)
+    assert b.gen == tuple(map(tuple, rows))
+    assert orthogonal(a, b) and orthogonal(b, a)
+    assert dual(a).contains_code(b) and dual(b).contains_code(a)
+    assert intersect(b, dual(a)) == b
