@@ -393,7 +393,7 @@ def is_even_like(v: Sequence[int], m: int) -> bool:
 def _scan_words(words: Iterable[int], c: LinearCode) -> WeightReport:
     """Weight report over packed words shaped like c.  Adding 2^m - 1 to each
     lane sets bit m of the nonzero ones; mod 2^W - 1 a word is its lane sum."""
-    n, m, width = c.n, c.m, c._width
+    n, m, width, fill = c.n, c.m, c._width, c._low
     flags = _ones(n, width) << m
     fold = (1 << width) - 1
     mask = (1 << m) - 1
@@ -401,7 +401,7 @@ def _scan_words(words: Iterable[int], c: LinearCode) -> WeightReport:
     count = 0
     all_odd = True
     for word in words:
-        w = ((word + c._low) & flags).bit_count()
+        w = ((word + fill) & flags).bit_count()
         if w == 0 or w > best:
             continue
         odd = (word % fold) & mask != 0

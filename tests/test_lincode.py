@@ -399,7 +399,7 @@ def test_self_orthogonality_matches_pairwise_products(gen_set, meet_dual):
 
 def list_contains(code, vec):
     """Membership by list-based reduction against the canonical rows."""
-    m, mod = code.m, 1 << code.m
+    mod = 1 << code.m
     work = [c % mod for c in vec]
     for row in code.gen:
         lead = next(c for c in range(code.n) if row[c])
@@ -466,10 +466,8 @@ def test_odometer_and_tuple_view_at_wide_lanes(data):
     # k rows of additive order at most 2^s span at most 2^(k*s) <= 2^10 words
     s = data.draw(st.integers(min_value=1, max_value=min(m, 10 // k)))
     entry = st.integers(min_value=0, max_value=(1 << m) - 1)
-    rows = [
-        [(x << (m - s)) % (1 << m) for x in data.draw(st.lists(entry, min_size=n, max_size=n))]
-        for _ in range(k)
-    ]
+    vector = st.lists(entry, min_size=n, max_size=n)
+    rows = [[(x << (m - s)) % (1 << m) for x in data.draw(vector)] for _ in range(k)]
     code = canonical_form(rows, n, m)
     assert code.log2_size <= 10
     span = set()
@@ -483,13 +481,12 @@ def test_odometer_and_tuple_view_at_wide_lanes(data):
     assert canonical_form(d.gen, n, m) == d
 
 
-
 @pytest.mark.parametrize("m", (1, 8, 62))
 @pytest.mark.parametrize("n", (7, 15, 31))
 def test_pairings_near_the_lane_width(n, m):
     # with t = 2^m - 1 each pairing of u with a row of b sums to about
-    # (n - 3) * 4^m before it vanishes mod 2^m, so a lane narrower than
-    # 2m + n.bit_length() bits carries into the next one
+    # (n - 3) * 4^m before it vanishes mod 2^m: at n = 15 and 31, lanes
+    # two bits narrower than _lane_width(n, m) carry into the next one
     mod = 1 << m
     t = mod - 1
     y = -(n - 2) % mod
