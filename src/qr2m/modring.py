@@ -4,14 +4,19 @@ For an odd prime p congruent to +1 or -1 modulo 8, the nonzero residues
 split into the set Q of quadratic residues and its complement N.  The
 counting functions here (zero sums, residue class counts) are the
 combinatorial backbone of every product identity in the rest of the
-package.  `family_params` locates p relative to 2^m as p = +-(8k - 1),
-which is the congruence every construction case keys on.
+package.  A partition also holds each class as a p-bit mask (bit j set
+for j in the class), so the class counts of a shifted set i + S come from
+rotating the mask of S by i and taking two popcounts against the class
+masks; `residue_class_counts` classifies one sum at a time and stays as
+the element-wise reference route.  `family_params` locates p relative to
+2^m as p = +-(8k - 1), which is the congruence every construction case
+keys on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import BadModulus, BadResidueClass, NoValidK, NotPrime, OutOfFamilyRange
@@ -61,17 +66,35 @@ class QuadPartition:
     def is_residue(self, i: int) -> bool:
         return self._table[i % self.p] == 1
 
-    @property
+    @cached_property
     def _table(self) -> tuple[int, ...]:
-        table = self.__dict__.get("_cached_table")
-        if table is None:
-            table = [2] * self.p
-            table[0] = 0
-            for i in self.q:
-                table[i] = 1
-            table = tuple(table)
-            self.__dict__["_cached_table"] = table
-        return table
+        table = [2] * self.p
+        table[0] = 0
+        for i in self.q:
+            table[i] = 1
+        return tuple(table)
+
+    @cached_property
+    def q_mask(self) -> int:
+        """Bit j set exactly for the residues j."""
+        return sum(1 << j for j in self.q)
+
+    @cached_property
+    def n_mask(self) -> int:
+        """Bit j set exactly for the nonresidues j."""
+        return sum(1 << j for j in self.n)
+
+    def shifted_counts(self, i: int, mask: int) -> tuple[int, int, int]:
+        """(residues, nonresidues, zeros) over {i + j mod p : j in mask}.
+
+        Rotating the p-bit mask left by i mod p moves bit j to bit
+        i + j mod p, so two popcounts against the class masks and bit 0
+        of the rotation give the three counts.
+        """
+        p = self.p
+        r = i % p
+        rot = ((mask << r) | (mask >> (p - r))) & ((1 << p) - 1)
+        return (rot & self.q_mask).bit_count(), (rot & self.n_mask).bit_count(), rot & 1
 
 
 @lru_cache(maxsize=None)

@@ -42,7 +42,7 @@ class ZPoly:
         if len(self.coeffs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(self.coeffs)}")
         modulus = 1 << self.m
-        if any(not 0 <= c < modulus for c in self.coeffs):
+        if min(self.coeffs) < 0 or max(self.coeffs) >= modulus:
             object.__setattr__(
                 self, "coeffs", tuple(c % modulus for c in self.coeffs)
             )

@@ -70,9 +70,12 @@ def decompose_basis(f: ZPoly) -> tuple[int, int, int] | None:
 
 
 def assemble_basis(p: int, m: int, alpha: int, beta: int, gamma: int) -> ZPoly:
-    e1, e2, _ = basis_vectors(p, m)
-    const = ZPoly.constant(alpha, p, m)
-    return const + e1.scale(beta) + e2.scale(gamma)
+    """alpha + beta*e1 + gamma*e2, read off the partition's class table."""
+    part = quad_partition(p)
+    mod = Modulus(m).value
+    # the class table codes zero as 0, residue as 1, nonresidue as 2
+    by_class = (alpha % mod, beta % mod, gamma % mod)
+    return ZPoly(p, m, tuple(by_class[t] for t in part._table))
 
 
 @lru_cache(maxsize=None)
@@ -319,13 +322,17 @@ class IdempotentCoeffs:
         }
 
 
-def solve_idempotent_system(p: int, m: int) -> list[IdempotentCoeffs]:
-    """All nondegenerate idempotent triples, sorted lexicographically."""
-    return [
+@lru_cache(maxsize=None)
+def solve_idempotent_system(p: int, m: int) -> tuple[IdempotentCoeffs, ...]:
+    """All nondegenerate idempotent triples, sorted lexicographically.
+
+    Cached per (p, m), so each triple's convolution check runs once.
+    """
+    return tuple(
         IdempotentCoeffs(p, m, a, b, c)
         for a, b, c in span_idempotents(p, m)
         if b != c
-    ]
+    )
 
 
 def swap_conjugate(c: IdempotentCoeffs) -> IdempotentCoeffs:

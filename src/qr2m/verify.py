@@ -20,12 +20,7 @@ from .lincode import (
     orthogonal,
     sum_codes,
 )
-from .modring import (
-    count_zero_sums,
-    family_params,
-    quad_partition,
-    residue_class_counts,
-)
+from .modring import count_zero_sums, family_params, quad_partition
 from .polyring import idempotent_from_generator, mu_map, ring_mul
 from .qr import (
     build_family,
@@ -112,10 +107,12 @@ def _check_partition_structure(rep: _Report, p: int) -> None:
     # basing the shift at a nonresidue swaps the residue/nonresidue tallies;
     # the cross tuple is symmetric in its first two entries either way
     swapped = (same[1], same[0], same[2])
-    ok = all(residue_class_counts(i, part.q, p) == same for i in part.q)
-    ok = ok and all(residue_class_counts(i, part.n, p) == cross for i in part.q)
-    ok = ok and all(residue_class_counts(i, part.n, p) == swapped for i in part.n)
-    ok = ok and all(residue_class_counts(i, part.q, p) == cross for i in part.n)
+    counts = part.shifted_counts
+    q_mask, n_mask = part.q_mask, part.n_mask
+    ok = all(counts(i, q_mask) == same for i in part.q)
+    ok = ok and all(counts(i, n_mask) == cross for i in part.q)
+    ok = ok and all(counts(i, n_mask) == swapped for i in part.n)
+    ok = ok and all(counts(i, q_mask) == cross for i in part.n)
     rep.row("shifted_class_counts", p, None, ok, f"same={same} cross={cross}")
 
 

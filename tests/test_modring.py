@@ -95,6 +95,18 @@ def test_shifted_class_counts_uniform():
             assert residue_class_counts(i, part.q, p) == cross
 
 
+
+def test_class_masks_and_shifted_counts_match_reference():
+    for p in range(3, 400):
+        if not is_odd_prime(p) or p % 8 not in (1, 7):
+            continue
+        part = quad_partition(p)
+        assert part.q_mask & part.n_mask == 0
+        assert part.q_mask | part.n_mask == (1 << p) - 2
+        for cls, mask in ((part.q, part.q_mask), (part.n, part.n_mask)):
+            for i in range(-p, 2 * p):
+                assert part.shifted_counts(i, mask) == residue_class_counts(i, cls, p)
+
 def test_family_params_table():
     cases = {
         (7, 4): (1, 1),

@@ -34,6 +34,15 @@ def test_zpoly_construction_and_text():
     assert ZPoly.x_power(9, 7, 4) == ZPoly.x_power(2, 7, 4)
 
 
+
+def test_zpoly_reduces_out_of_range_coefficients():
+    assert ZPoly(3, 2, (-1, 4, 9)).coeffs == (3, 0, 1)
+    assert ZPoly(2, 5, (1 << 5, 1)).coeffs == (0, 1)
+    assert ZPoly(2, 62, ((1 << 62) + 1, 0)).coeffs == (1, 0)
+    kept = (0, 5, (1 << 8) - 1)
+    f = ZPoly(3, 8, kept)
+    assert f.coeffs == kept and f.coeffs is kept
+
 def test_zpoly_arithmetic_basics():
     one = ZPoly.one(5, 3)
     x = ZPoly.x_power(1, 5, 3)

@@ -1,9 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qr2m.errors import (
+    BadModulus,
+    BadResidueClass,
     NoCaseApplies,
+    NotPrime,
     OutOfFamilyRange,
     PreconditionSignMismatch,
     ShapeMismatch,
@@ -53,6 +58,48 @@ def test_basis_vectors_shape():
     assert e2.coeffs == (0, 0, 0, 1, 0, 1, 1)
     assert h.coeffs == (1,) * 7
 
+
+
+def zpoly_sum_basis(p, m, alpha, beta, gamma):
+    """alpha + beta*e1 + gamma*e2 as a sum of ZPoly terms (the oracle)."""
+    e1, e2, _ = basis_vectors(p, m)
+    return ZPoly.constant(alpha, p, m) + e1.scale(beta) + e2.scale(gamma)
+
+
+coefficient = st.integers(min_value=-(1 << 64), max_value=1 << 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([7, 17, 23, 41]),
+    st.sampled_from([1, 4, 8, 62]),
+    coefficient,
+    coefficient,
+    coefficient,
+)
+def test_assemble_basis_matches_zpoly_sum(p, m, alpha, beta, gamma):
+    got = assemble_basis(p, m, alpha, beta, gamma)
+    assert got == zpoly_sum_basis(p, m, alpha, beta, gamma)
+    assert decompose_basis(got) == tuple(c % (1 << m) for c in (alpha, beta, gamma))
+
+
+def test_assemble_basis_error_precedence():
+    with pytest.raises(NotPrime):
+        assemble_basis(9, 4, 1, 2, 3)
+    with pytest.raises(BadResidueClass):
+        assemble_basis(11, 4, 1, 2, 3)
+    # p is checked before m, so a bad pair reports the prime
+    with pytest.raises(NotPrime):
+        assemble_basis(9, 0, 1, 2, 3)
+    for m in (0, 63):
+        with pytest.raises(BadModulus):
+            assemble_basis(7, m, 1, 2, 3)
+
+
+def test_solve_idempotent_system_is_cached():
+    first = solve_idempotent_system(17, 5)
+    assert isinstance(first, tuple)
+    assert solve_idempotent_system(17, 5) is first
 
 def test_split_parameter():
     assert split_parameter(7) == (1, -1)

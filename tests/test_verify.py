@@ -1,4 +1,12 @@
+import hashlib
+import json
+
+from qr2m.modring import is_odd_prime
 from qr2m.verify import SCHEMA_VERSION, run_verification
+
+# sha256 of the canonical wide-grid report; re-freeze only with a change
+# that alters the verify output on purpose, and record why
+WIDE_GRID_SHA256 = "795637c71dce4517b8c19146bbd96d4efebac1e4ce042f8b96d08190d495db90"
 
 
 def desk_report():
@@ -103,3 +111,11 @@ def test_constructible_grid_points_verify_cleanly(constructible_points):
         report = run_verification([p], [m])
         assert report["summary"]["failed"] == 0, (p, m)
         assert any(c["name"] == "family_case" for c in report["checks"]), (p, m)
+
+
+def test_wide_grid_report_is_frozen():
+    primes = [p for p in range(3, 200) if is_odd_prime(p) and p % 8 in (1, 7)]
+    assert len(primes) == 20
+    report = run_verification(primes, range(4, 9))
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_GRID_SHA256
