@@ -207,13 +207,21 @@ def canonical_form(rows: Iterable[Sequence[int]], n: int, m: int) -> LinearCode:
 
 
 def code_from_polynomial(g: ZPoly) -> LinearCode:
-    """The cyclic ideal generated by g, as spans of its n rotations."""
+    """The cyclic ideal generated by g, as the Howell form of its n rotations.
+
+    g is packed once; each next rotation x*row is one shift of the packed
+    word, its top lane wrapped around to lane 0 and masked off above.
+    """
+    n, m = g.n, g.m
+    width = _lane_width(n, m)
+    low = ((1 << m) - 1) * _ones(n, width)
+    top = width * (n - 1)
+    row = _pack(g.coeffs, width)
     rows = []
-    c = list(g.coeffs)
-    for _ in range(g.n):
-        rows.append(tuple(c))
-        c = [c[-1]] + c[:-1]
-    return canonical_form(rows, g.n, g.m)
+    for _ in range(n):
+        rows.append(row)
+        row = (row << width) & low | row >> top
+    return LinearCode(n, m, tuple(_howell(rows, n, m, width)))
 
 
 def code_from_divisor(g: Sequence[int], n: int, m: int) -> LinearCode:

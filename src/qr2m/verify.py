@@ -15,13 +15,12 @@ from . import padic
 from .errors import NoCaseApplies, NoValidK, OutOfFamilyRange
 from .lincode import (
     code_from_polynomial,
-    dual,
     is_self_orthogonal,
     orthogonal,
     sum_codes,
 )
 from .modring import count_zero_sums, family_params, quad_partition
-from .polyring import idempotent_from_generator, mu_map, ring_mul
+from .polyring import ZPoly, idempotent_from_generator, mu_map, ring_mul
 from .qr import (
     build_family,
     coefficient_system_holds,
@@ -343,8 +342,10 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         expected = {"q": "qprime", "qprime": "q", "n": "nprime", "nprime": "n"}
     else:
         expected = {"q": "nprime", "nprime": "q", "n": "qprime", "qprime": "n"}
-    # the generic kernel stays in the sweep as the oracle for one partner
-    oracle_ok = dual(fam.q) == codes.get(pairing["q"])
+    # second route for one partner: the ideal of an idempotent e has dual
+    # C(1 - e(x^-1)), here spanned by rotations rather than from divisors
+    dual_q = code_from_polynomial(ZPoly.one(p, m) - mu_map(fam.idem_q, p - 1))
+    oracle_ok = dual_q == codes.get(pairing["q"])
     rep.row(
         "dual_pairing", p, m, pairing == expected and oracle_ok, f"pairing {pairing}"
     )

@@ -3,9 +3,10 @@ import random
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qr2m import lincode
 from qr2m.errors import BadPosition, BudgetExceeded, NoNonzeroWords, ShapeMismatch
 from qr2m.lincode import (
     LinearCode,
@@ -498,3 +499,48 @@ def test_pairings_near_the_lane_width(n, m):
     assert orthogonal(a, b) and orthogonal(b, a)
     assert dual(a).contains_code(b) and dual(b).contains_code(a)
     assert intersect(b, dual(a)) == b
+
+
+@st.composite
+def cyclic_generators(draw):
+    """(n, m, g): g scaled by 2^j, 0 <= j <= m, so the ideal need not be free."""
+    m = draw(st.sampled_from((1, 2, 5, 8, 62)))
+    n = draw(st.integers(min_value=1, max_value=40))
+    mod = 1 << m
+    coeffs = draw(st.lists(st.integers(0, mod - 1), min_size=n, max_size=n))
+    j = draw(st.integers(min_value=0, max_value=m))
+    return n, m, tuple((c << j) % mod for c in coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclic_generators())
+@example((1, 5, (3,)))
+@example((1, 1, (0,)))
+@example((9, 8, (0,) * 9))
+@example((40, 62, (0,) * 39 + ((1 << 62) - 1,)))
+def test_code_from_polynomial_matches_explicit_rotations(gen):
+    n, m, g = gen
+    # rotation i is x^i * g: coefficient t moves to (t + i) mod n
+    rotations = [[g[(t - i) % n] for t in range(n)] for i in range(n)]
+    want = canonical_form(rotations, n, m)
+    assert code_from_polynomial(ZPoly(n, m, g)) == want
+
+
+def test_rotations_reach_howell_packed_in_n_lanes(monkeypatch):
+    # _howell wants every entry of every row below 2^m in lanes 0..n-1
+    seen = []
+
+    def spy(rows, n, m, width):
+        rows = list(rows)
+        seen.append((rows, width))
+        return howell(rows, n, m, width)
+
+    howell = lincode._howell
+    monkeypatch.setattr(lincode, "_howell", spy)
+    for n, m in ((1, 3), (7, 4), (23, 62)):
+        g = ZPoly(n, m, tuple((5 * t + 3) % (1 << m) for t in range(n)))
+        code_from_polynomial(g)
+        rows, width = seen.pop()
+        assert len(rows) == n
+        low = ((1 << m) - 1) * sum(1 << (width * t) for t in range(n))
+        assert all(row & ~low == 0 for row in rows)

@@ -360,3 +360,27 @@ def test_family_matches_the_rotation_span_route(constructible_points):
         assert fam.q_prime == code_from_polynomial(fam.idem_q_prime)
         assert fam.n == code_from_polynomial(fam.idem_n)
         assert fam.n_prime == code_from_polynomial(fam.idem_n_prime)
+
+
+def _dual_idempotent_code(e):
+    return code_from_polynomial(ZPoly.one(e.n, e.m) - mu_map(e, e.n - 1))
+
+
+def test_dual_idempotent_route_matches_kernel(constructible_points):
+    # the ideal of an idempotent e has dual C(1 - e(x^-1)); dual() is the
+    # generic kernel route
+    for p, m in constructible_points:
+        fam = build_family(p, m)
+        for code, e in (
+            (fam.q, fam.idem_q),
+            (fam.q_prime, fam.idem_q_prime),
+            (fam.n, fam.idem_n),
+            (fam.n_prime, fam.idem_n_prime),
+        ):
+            assert dual(code) == _dual_idempotent_code(e)
+    for p, m in ((7, 1), (7, 3), (17, 4), (23, 6), (41, 2), (31, 5)):
+        triples = span_idempotents(p, m)
+        assert (0, 0, 0) in triples and (1, 0, 0) in triples
+        for triple in triples:
+            e = assemble_basis(p, m, *triple)
+            assert dual(code_from_polynomial(e)) == _dual_idempotent_code(e)
