@@ -529,13 +529,13 @@ def test_code_from_polynomial_matches_explicit_rotations(gen):
 def test_rotations_reach_howell_packed_in_n_lanes(monkeypatch):
     # _howell wants every entry of every row below 2^m in lanes 0..n-1
     seen = []
+    howell = lincode._howell
 
     def spy(rows, n, m, width):
         rows = list(rows)
         seen.append((rows, width))
         return howell(rows, n, m, width)
 
-    howell = lincode._howell
     monkeypatch.setattr(lincode, "_howell", spy)
     for n, m in ((1, 3), (7, 4), (23, 62)):
         g = ZPoly(n, m, tuple((5 * t + 3) % (1 << m) for t in range(n)))
