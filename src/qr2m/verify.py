@@ -342,12 +342,15 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         expected = {"q": "qprime", "qprime": "q", "n": "nprime", "nprime": "n"}
     else:
         expected = {"q": "nprime", "nprime": "q", "n": "qprime", "qprime": "n"}
-    # second route for one partner: the ideal of an idempotent e has dual
-    # C(1 - e(x^-1)), here spanned by rotations rather than from divisors
+    # the ideal of an idempotent e has dual C(1 - e(x^-1))
     dual_q = code_from_polynomial(ZPoly.one(p, m) - mu_map(fam.idem_q, p - 1))
-    oracle_ok = dual_q == codes.get(pairing["q"])
+    idempotent_ok = dual_q == codes.get(pairing["q"])
     rep.row(
-        "dual_pairing", p, m, pairing == expected and oracle_ok, f"pairing {pairing}"
+        "dual_pairing",
+        p,
+        m,
+        pairing == expected and idempotent_ok,
+        f"pairing {pairing}",
     )
     if eps < 0:
         rep.row(

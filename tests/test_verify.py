@@ -1,12 +1,16 @@
 import hashlib
 import json
 
+import pytest
+
 from qr2m.modring import is_odd_prime
 from qr2m.verify import SCHEMA_VERSION, run_verification
 
 # sha256 of the canonical wide-grid report; re-freeze only with a change
 # that alters the verify output on purpose, and record why
 WIDE_GRID_SHA256 = "795637c71dce4517b8c19146bbd96d4efebac1e4ce042f8b96d08190d495db90"
+# the same for the primes p < 400
+P400_GRID_SHA256 = "3487179babc71ee3a9f030ea28f89a7af8b0b457e474f11a74247433e52f036b"
 
 
 def desk_report():
@@ -113,9 +117,19 @@ def test_constructible_grid_points_verify_cleanly(constructible_points):
         assert any(c["name"] == "family_case" for c in report["checks"]), (p, m)
 
 
-def test_wide_grid_report_is_frozen():
-    primes = [p for p in range(3, 200) if is_odd_prime(p) and p % 8 in (1, 7)]
-    assert len(primes) == 20
+def _grid_report_digest(bound: int) -> tuple[int, str]:
+    primes = [p for p in range(3, bound) if is_odd_prime(p) and p % 8 in (1, 7)]
     report = run_verification(primes, range(4, 9))
     text = json.dumps(report, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_GRID_SHA256
+    return len(primes), hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_wide_grid_report_is_frozen():
+    assert _grid_report_digest(200) == (20, WIDE_GRID_SHA256)
+
+
+@pytest.mark.slow
+def test_p400_grid_report_is_frozen():
+    # reaches the constructible points with 200 < p < 400 that no other
+    # test builds; about 15 s, so CI runs it by name (pytest -m slow)
+    assert _grid_report_digest(400) == (35, P400_GRID_SHA256)
