@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import padic
 from .errors import BudgetExceeded, NoCaseApplies, OutOfFamilyRange, Qr2mError
@@ -284,7 +285,9 @@ def cmd_lift(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by main."""
     parser = argparse.ArgumentParser(
         prog="qr2m",
         description="Quadratic residue codes over Z/2^m: construction and checks.",

@@ -24,14 +24,15 @@ from .errors import (
     ShapeMismatch,
 )
 from .modring import Modulus
-from .polyring import ZPoly, _ones, _pack, _unpack, mu_map
+from .polyring import ZPoly, _byte_lanes, _ones, _pack, _unpack, mu_map
 
 DEFAULT_BUDGET = 1 << 20
 
 
 def _lane_width(n: int, m: int) -> int:
-    """Lane width for Z_{2^m}^n: room for a sum of 2n products below 4^m."""
-    return 2 * m + n.bit_length() + 1
+    """Lane width for Z_{2^m}^n: the narrowest byte-aligned lane (8 * 2^j
+    bits) with room for a sum of 2n products below 4^m."""
+    return _byte_lanes(2 * m + n.bit_length() + 1)
 
 
 def _reduce(
@@ -149,7 +150,7 @@ class LinearCode:
         return not self.rows
 
     def _entries(self, r: int) -> tuple[int, ...]:
-        return tuple(_unpack(r, self.n, self._width, (1 << self.m) - 1))
+        return _unpack(r, self.n, self._width, (1 << self.m) - 1)
 
     def _remainder(self, r: int) -> int:
         return _reduce(r, self._pivots, self._width, 1 << self.m, self._low)

@@ -2,10 +2,13 @@
 
 Coefficients are plain Python integers (constant term first), so the
 arithmetic stays exact for every m up to the 62-bit cap.  Every product
-is one big-int multiply: _mul_raw packs each operand into bit lanes
-(Kronecker substitution), wide enough that no coefficient sum spills into
-the next lane, and the cyclic product folds that at x^n = 1.  The lane
-format (_ones, _pack, _unpack) is shared with lincode's packed rows.
+is one big-int multiply of operands packed into bit lanes (Kronecker
+substitution), wide enough that no coefficient sum spills into the next
+lane; the cyclic product folds at x^n = 1 inside the packed word.  A lane
+is 8 * 2^j bits, the narrowest such width that holds the sums, so packing
+and unpacking are one struct call over little-endian bytes each.  The
+lane format (_byte_lanes, _ones, _pack, _unpack) is shared with lincode's
+packed rows.
 Alongside the cyclic ring ZPoly this module carries the non-cyclic
 helpers needed to factor x^p - 1 over GF(2) and to lift that
 factorization to 2^m by modulus-doubling Hensel steps.
@@ -13,6 +16,7 @@ factorization to 2^m by modulus-doubling Hensel steps.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -137,12 +141,19 @@ class ZPoly:
 
 
 def ring_mul(a: ZPoly, b: ZPoly) -> ZPoly:
-    """Cyclic product: the linear product _mul_raw folded at x^n = 1."""
+    """Cyclic product by one multiply of packed operands (a square if a is b).
+
+    Lane k of the linear product plus lane k + n is the sum over
+    i + j = k mod n of a_i * b_j: exactly n products below 4^m, which lanes
+    of 2m + bit_length(n) bits hold, so the fold at x^n = 1 is one shift
+    and add of the packed product with no carry out of lanes 0..n-1.
+    """
     a._check_shape(b)
-    n, mask = a.n, (1 << a.m) - 1
-    full = _mul_raw(a.coeffs, b.coeffs, mask + 1)
-    full += [0] * (2 * n - len(full))
-    return ZPoly(n, a.m, tuple((full[i] + full[i + n]) & mask for i in range(n)))
+    n, m = a.n, a.m
+    width = _byte_lanes(2 * m + n.bit_length())
+    x = _pack(a.coeffs, width)
+    prod = x * x if a is b else x * _pack(b.coeffs, width)
+    return ZPoly(n, m, _unpack(prod + (prod >> (width * n)), n, width, (1 << m) - 1))
 
 
 def is_idempotent(f: ZPoly) -> bool:
@@ -162,21 +173,41 @@ def mu_map(f: ZPoly, a: int) -> ZPoly:
 # ----------------------------------------------------------------------
 # Lane-packed vectors: one int per vector, entry j in its own bit lane.
 
+def _byte_lanes(bits: int) -> int:
+    """The narrowest lane width of 8 * 2^j bits that holds the given bits."""
+    return max(8, 1 << (bits - 1).bit_length())
+
+
+_LANE_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _lane_format(count: int, width: int) -> str:
+    """struct format of count little-endian lanes of a _byte_lanes width;
+    a lane wider than 64 bits is its low 64 bits and zero padding."""
+    code = _LANE_CODES.get(width)
+    if code is None:
+        return "<" + f"Q{width // 8 - 8}x" * count
+    return f"<{count}{code}"
+
+
 def _ones(count: int, width: int) -> int:
     """The int with a 1 at the bottom of each of count lanes of the given width."""
-    return ((1 << (width * count)) - 1) // ((1 << width) - 1)
+    return int.from_bytes((1).to_bytes(width // 8, "little") * count, "little")
 
 
 def _pack(row: Sequence[int], width: int) -> int:
-    """One int per vector: entry j sits in bits [width*j, width*(j+1))."""
-    x = 0
-    for c in reversed(row):
-        x = (x << width) | c
-    return x
+    """One int per vector: entry j sits in bits [width*j, width*(j+1)).
+
+    width comes from _byte_lanes and every entry lies in [0, 2^min(width, 64)).
+    """
+    return int.from_bytes(struct.pack(_lane_format(len(row), width), *row), "little")
 
 
-def _unpack(x: int, n: int, width: int, mask: int) -> list[int]:
-    return [(x >> (width * j)) & mask for j in range(n)]
+def _unpack(x: int, n: int, width: int, mask: int) -> tuple[int, ...]:
+    """Lanes 0..n-1 of x, each ANDed with mask (below 2^64); x may hold
+    more lanes, which are ignored."""
+    data = (x & mask * _ones(n, width)).to_bytes(width // 8 * n, "little")
+    return struct.unpack(_lane_format(n, width), data)
 
 
 # ----------------------------------------------------------------------
@@ -193,14 +224,14 @@ def _mul_raw(a: Sequence[int], b: Sequence[int], mod: int) -> list[int]:
 
     Coefficients must lie in [0, mod).  Lane k of the packed product is
     the sum of at most min(len a, len b) products below mod^2, so lanes of
-    2*log2(mod) + bit_length(min(len a, len b)) bits hold it exactly and
-    no carry crosses into the next lane.
+    _byte_lanes(2*log2(mod) + bit_length(min(len a, len b))) bits hold it
+    exactly and no carry crosses into the next lane.
     """
     if not a or not b:
         return []
-    width = 2 * (mod.bit_length() - 1) + min(len(a), len(b)).bit_length()
+    width = _byte_lanes(2 * (mod.bit_length() - 1) + min(len(a), len(b)).bit_length())
     prod = _pack(a, width) * _pack(b, width)
-    return _trim(_unpack(prod, len(a) + len(b) - 1, width, mod - 1))
+    return _trim(list(_unpack(prod, len(a) + len(b) - 1, width, mod - 1)))
 
 
 def _divmod_raw(a: list[int], b: list[int], mod: int) -> tuple[list[int], list[int]]:

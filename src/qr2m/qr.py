@@ -282,8 +282,9 @@ class IdempotentCoeffs:
 
     Nondegenerate means beta != gamma; the degenerate idempotents
     (scalar multiples of h plus constants) generate no residue/nonresidue
-    asymmetry and are excluded here.  Idempotency is validated by full
-    convolution at construction.
+    asymmetry and are excluded here.  Idempotency is validated at
+    construction by membership in span_idempotents, whose members are
+    complete (digit lifting) and each checked by convolution there.
     """
 
     p: int
@@ -299,7 +300,7 @@ class IdempotentCoeffs:
                 raise ValueError("coefficient out of range")
         if self.beta == self.gamma:
             raise ValueError("degenerate coefficients: beta equals gamma")
-        if not is_idempotent(self.as_poly()):
+        if self.triple not in span_idempotents(self.p, self.m):
             raise ValueError("triple does not define an idempotent")
 
     def as_poly(self) -> ZPoly:
@@ -324,10 +325,7 @@ class IdempotentCoeffs:
 
 @lru_cache(maxsize=None)
 def solve_idempotent_system(p: int, m: int) -> tuple[IdempotentCoeffs, ...]:
-    """All nondegenerate idempotent triples, sorted lexicographically.
-
-    Cached per (p, m), so each triple's convolution check runs once.
-    """
+    """All nondegenerate idempotent triples, sorted lexicographically."""
     return tuple(
         IdempotentCoeffs(p, m, a, b, c)
         for a, b, c in span_idempotents(p, m)

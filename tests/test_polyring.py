@@ -5,10 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qr2m.errors import NotAUnit, ShapeMismatch
-from qr2m.lincode import code_from_polynomial
+from qr2m.lincode import _lane_width, code_from_polynomial
 from qr2m.polyring import (
     ZPoly,
+    _byte_lanes,
     _mul_raw,
+    _ones,
+    _pack,
+    _unpack,
     binary_qr_factors,
     cyclotomic_cosets,
     hensel_lift_factors,
@@ -75,6 +79,7 @@ def test_ring_mul_matches_naive(n, m, data):
     fa = ZPoly(n=n, m=m, coeffs=tuple(a))
     fb = ZPoly(n=n, m=m, coeffs=tuple(b))
     assert ring_mul(fa, fb).coeffs == tuple(naive_cyclic_mul(a, b, n, mod))
+    assert ring_mul(fa, fa).coeffs == tuple(naive_cyclic_mul(a, a, n, mod))
 
 
 @pytest.mark.parametrize("m", [1, 2, 8, 31, 62])
@@ -84,6 +89,31 @@ def test_ring_mul_all_top_coefficients(n, m):
     top = [(1 << m) - 1] * n
     f = ZPoly(n=n, m=m, coeffs=tuple(top))
     assert ring_mul(f, f).coeffs == tuple(naive_cyclic_mul(top, top, n, 1 << m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 8, 31, 62]),
+    st.integers(min_value=1, max_value=300),
+    st.booleans(),
+    st.data(),
+)
+def test_lane_round_trip_at_every_width(m, n, for_lincode, data):
+    # ring_mul's lanes and lincode's one bit wider: 8 to 256 bits here
+    width = _lane_width(n, m) if for_lincode else _byte_lanes(2 * m + n.bit_length())
+    assert width in (8, 16, 32, 64, 128, 256)
+    assert 2 * m + n.bit_length() + for_lincode <= width
+    mask = (1 << m) - 1
+    row = data.draw(st.lists(st.integers(0, mask), min_size=n, max_size=n))
+    x = _pack(row, width)
+    assert x == sum(c << (width * j) for j, c in enumerate(row))
+    assert _ones(n, width) == sum(1 << (width * j) for j in range(n))
+    assert _unpack(x, n, width, mask) == tuple(row)
+    # lanes above n - 1 and bits above the mask are ignored
+    extra = data.draw(st.integers(min_value=1, max_value=n))
+    junk = data.draw(st.integers(min_value=1, max_value=(1 << (width * extra)) - 1))
+    high = ((1 << width) - 1 - mask) * _ones(n, width)
+    assert _unpack(x | high | junk << (width * n), n, width, mask) == tuple(row)
 
 
 def test_mul_raw_matches_schoolbook():

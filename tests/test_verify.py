@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qr2m import polyring, qr, verify
 from qr2m.modring import is_odd_prime
 from qr2m.verify import SCHEMA_VERSION, run_verification
 
@@ -108,6 +109,26 @@ def test_widest_family_point_passes():
     assert report["summary"]["failed"] == 0
     family = [c for c in report["checks"] if c["name"] == "family_case"]
     assert [c["status"] for c in family] == ["pass"]
+
+
+def test_nonfamily_point_convolves_each_product_once(monkeypatch):
+    # three basis products, h*h and one idempotence check per span
+    # idempotent (eight); the four nondegenerate triples reuse those checks
+    for cached in (qr._span_products, qr.span_idempotents, qr.solve_idempotent_system):
+        cached.cache_clear()
+    calls = []
+    ring_mul = polyring.ring_mul
+
+    def spy(a, b):
+        calls.append((a.n, a.m))
+        return ring_mul(a, b)
+
+    for module in (polyring, qr, verify):
+        monkeypatch.setattr(module, "ring_mul", spy)
+    report = run_verification([41], [6])
+    assert report["summary"]["failed"] == 0
+    assert [c["status"] for c in report["checks"] if c["name"] == "family_construction"] == ["skip"]
+    assert calls == [(41, 6)] * 12
 
 
 def test_constructible_grid_points_verify_cleanly(constructible_points):
