@@ -13,7 +13,7 @@ other; the test suite compares them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 
 from .errors import (
@@ -378,44 +378,96 @@ def lifted_residue_code(p: int, m: int) -> LinearCode:
     return code_from_polynomial(lifted_factors(p, m).f_q)
 
 
-def _ideal_code(e: ZPoly, lifted: FactorSet) -> LinearCode:
-    """The ideal generated by the span idempotent e, built from its generator.
+# The blocks of R_p = R/(x - 1) x R/(f_q) x R/(f_n), in lifted-factor order.
+BLOCKS = ("u", "q", "n")
 
-    The lifted factors of x^p - 1 are monic and pairwise coprime, so the
-    product g of those that divide e divides e as well.  A factor f
-    divides e exactly when e times the cofactor (x^p - 1)/f vanishes in
-    R_p.  Then e*g = g puts g in the ideal of e, the two ideals are equal,
-    and the code is read off g by code_from_divisor.
+
+@lru_cache(maxsize=None)
+def block_cofactors(p: int, m: int) -> tuple[ZPoly, ZPoly, ZPoly]:
+    """For each block b in BLOCKS, cof_b: the product of the other two lifted factors.
+
+    The lifted factors x - 1, f_q, f_n of x^p - 1 are monic and pairwise
+    coprime, so R_p is the product of the blocks R/(f_b), and cof_b is 0
+    on every block but b, where it is a unit.
     """
-    p, m = e.n, e.m
+    lifted = lifted_factors(p, m)
     mod = 1 << m
     factors = [_from_zpoly(f) for f in (lifted.f_unit, lifted.f_q, lifted.f_n)]
-    g = [1]
-    for i, f in enumerate(factors):
+    cofactors = []
+    for i in range(len(factors)):
         a, b = factors[:i] + factors[i + 1:]
-        if ring_mul(e, _to_zpoly(_mul_raw(a, b, mod), p, m)).is_zero():
-            g = _mul_raw(g, f, mod)
-    g_poly = _to_zpoly(g, p, m)
-    if ring_mul(e, g_poly) != g_poly:
-        raise AssertionError("the idempotent does not fix its generator")
-    return code_from_divisor(g, p, m)
+        cofactors.append(_to_zpoly(_mul_raw(a, b, mod), p, m))
+    return tuple(cofactors)
+
+
+def block_set(e: ZPoly) -> frozenset[str] | None:
+    """The blocks on which e is 1, or None if e is not 0 or 1 on every block.
+
+    e is 1 on block b exactly when e*cof_b = cof_b, and 0 there exactly
+    when e*cof_b = 0.  A span idempotent is 0 or 1 on each block, and its
+    ideal is the product of the blocks in its set: log2 of its size is m
+    times the sum of their degrees, 1 for u and (p - 1)/2 for q and n.
+    """
+    blocks = set()
+    for b, cof in zip(BLOCKS, block_cofactors(e.n, e.m)):
+        prod = ring_mul(e, cof)
+        if prod == cof:
+            blocks.add(b)
+        elif not prod.is_zero():
+            return None
+    return frozenset(blocks)
+
+
+def _ideal_code(e: ZPoly) -> LinearCode:
+    """The ideal generated by the span idempotent e, built from its generator.
+
+    The ideal of e is the product of the blocks in block_set(e), which is
+    the ideal of the monic product g of the lifted factors of the other
+    blocks; code_from_divisor reads the code off g.
+    """
+    blocks = block_set(e)
+    if blocks is None:
+        raise AssertionError("the idempotent is not 0 or 1 on every block")
+    lifted = lifted_factors(e.n, e.m)
+    mod = 1 << e.m
+    g = [1]
+    for b, f in zip(BLOCKS, (lifted.f_unit, lifted.f_q, lifted.f_n)):
+        if b not in blocks:
+            g = _mul_raw(g, _from_zpoly(f), mod)
+    return code_from_divisor(g, e.n, e.m)
 
 
 @dataclass(frozen=True)
 class QrFamily:
-    """The four codes q, q', n, n' with their defining idempotents."""
+    """The four codes q, q', n, n' of (p, m), held as their defining idempotents.
+
+    Each code is built from its idempotent by _ideal_code on first access
+    and cached on the instance; the verify sweep reads only the idempotents.
+    """
 
     params: FamilyParams
     case_tag: str
     coeffs_q: IdempotentCoeffs
-    q: LinearCode
-    q_prime: LinearCode
-    n: LinearCode
-    n_prime: LinearCode
     idem_q: ZPoly
     idem_q_prime: ZPoly
     idem_n: ZPoly
     idem_n_prime: ZPoly
+
+    @cached_property
+    def q(self) -> LinearCode:
+        return _ideal_code(self.idem_q)
+
+    @cached_property
+    def q_prime(self) -> LinearCode:
+        return _ideal_code(self.idem_q_prime)
+
+    @cached_property
+    def n(self) -> LinearCode:
+        return _ideal_code(self.idem_n)
+
+    @cached_property
+    def n_prime(self) -> LinearCode:
+        return _ideal_code(self.idem_n_prime)
 
     @property
     def shift_direction(self) -> int:
@@ -458,8 +510,9 @@ def build_family(p: int, m: int) -> QrFamily:
     generator on the q side is the candidate in the required class whose
     ideal is comparable (as a set) with the lifted residue-factor ideal,
     taking the lexicographically smallest triple if several qualify.  The
-    ideal of e lies in the lift ideal L = (f_q) exactly when e is in L,
-    and contains L exactly when e*f_q = f_q.
+    ideal of e lies in the lift ideal L = (f_q) exactly when e is 0 on the
+    block q (e*cof_q = 0), and contains L exactly when e*f_q = f_q.  No
+    code is built here: the family's codes are built on first access.
     """
     params = family_params(p, m)
     mod = 1 << m
@@ -491,12 +544,12 @@ def build_family(p: int, m: int) -> QrFamily:
         raise AmbiguousCase(f"sub-cases {[t for t, _ in viable]} both satisfiable")
     tag, bare_class = viable[0]
     candidates = [s for s in sols if s.conjugate_sum == bare_class]
-    lift_code = lifted_residue_code(p, m)
-    lifted = lifted_factors(p, m)
+    f_q = lifted_factors(p, m).f_q
+    cof_q = block_cofactors(p, m)[BLOCKS.index("q")]
     chosen = None
     for cand in candidates:
         e = cand.as_poly()
-        if lift_code.contains(e.coeffs) or ring_mul(e, lifted.f_q) == lifted.f_q:
+        if ring_mul(e, cof_q).is_zero() or ring_mul(e, f_q) == f_q:
             chosen = cand
             break
     if chosen is None:
@@ -518,10 +571,6 @@ def build_family(p: int, m: int) -> QrFamily:
         params=params,
         case_tag=tag,
         coeffs_q=chosen,
-        q=_ideal_code(idem_q, lifted),
-        q_prime=_ideal_code(idem_qp, lifted),
-        n=_ideal_code(idem_n, lifted),
-        n_prime=_ideal_code(idem_np, lifted),
         idem_q=idem_q,
         idem_q_prime=idem_qp,
         idem_n=idem_n,

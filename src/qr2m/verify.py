@@ -13,20 +13,17 @@ from __future__ import annotations
 
 from . import padic
 from .errors import NoCaseApplies, NoValidK, OutOfFamilyRange
-from .lincode import (
-    code_from_polynomial,
-    is_self_orthogonal,
-    orthogonal,
-    sum_codes,
-)
 from .modring import count_zero_sums, family_params, quad_partition
 from .polyring import ZPoly, idempotent_from_generator, mu_map, ring_mul
 from .qr import (
+    BLOCKS,
+    basis_vectors,
+    block_cofactors,
+    block_set,
     build_family,
     coefficient_system_holds,
     decompose_basis,
     lifted_factors,
-    lifted_residue_code,
     product_identities_report,
     shift_by_h,
     solve_idempotent_system,
@@ -232,7 +229,34 @@ def _check_padic(rep: _Report, p: int, m: int, params) -> None:
         )
 
 
+_ALL_BLOCKS = frozenset(BLOCKS)
+_SHIFT_BLOCKS = frozenset({"u"})
+
+
+def _log2_size(blocks, p: int, m: int):
+    """log2 of the size of the ideal with these blocks: m times their degrees."""
+    if blocks is None:
+        return None
+    return m * sum(1 if b == "u" else (p - 1) // 2 for b in blocks)
+
+
+def _meet(a, b):
+    return None if a is None or b is None else a & b
+
+
+def _join(a, b):
+    return None if a is None or b is None else a | b
+
+
+def _same(a, b) -> bool:
+    """Equal block sets; a missing set (an element not 0/1 on a block) never is."""
+    return a is not None and a == b
+
+
 def _check_family(rep: _Report, p: int, m: int) -> None:
+    # Every row is decided twice without building a code: route A reads
+    # the block sets of the idempotents (R_p = R_u x R_q x R_n), route B
+    # multiplies the idempotents in R_p.  A row passes only if both hold.
     try:
         fam = build_family(p, m)
     except (OutOfFamilyRange, NoValidK, NoCaseApplies) as exc:
@@ -244,27 +268,31 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
     k, eps = split_parameter(p)
     rep.row("family_case", p, m, True, tag)
     small, big = m * (p - 1) // 2, m * (p + 1) // 2
+    idem = {
+        "q": fam.idem_q,
+        "qprime": fam.idem_q_prime,
+        "n": fam.idem_n,
+        "nprime": fam.idem_n_prime,
+    }
+    blocks = {name: block_set(e) for name, e in idem.items()}
+    sizes = {name: _log2_size(s, p, m) for name, s in blocks.items()}
     if tag in ("C12", "C21"):
-        small_q, small_n = fam.q, fam.n
-        big_q, big_n = fam.q_prime, fam.n_prime
-        idem_big_q, idem_big_n = fam.idem_q_prime, fam.idem_n_prime
+        small_q, small_n, big_q, big_n = "q", "n", "qprime", "nprime"
     else:
-        small_q, small_n = fam.q_prime, fam.n_prime
-        big_q, big_n = fam.q, fam.n
-        idem_big_q, idem_big_n = fam.idem_q, fam.idem_n
+        small_q, small_n, big_q, big_n = "qprime", "nprime", "q", "n"
     sizes_ok = (
-        small_q.log2_size == small
-        and small_n.log2_size == small
-        and big_q.log2_size == big
-        and big_n.log2_size == big
+        sizes[small_q] == small
+        and sizes[small_n] == small
+        and sizes[big_q] == big
+        and sizes[big_n] == big
     )
     rep.row(
         "family_sizes",
         p,
         m,
         sizes_ok,
-        f"log2 sizes q={fam.q.log2_size} q'={fam.q_prime.log2_size} "
-        f"n={fam.n.log2_size} n'={fam.n_prime.log2_size}",
+        f"log2 sizes q={sizes['q']} q'={sizes['qprime']} "
+        f"n={sizes['n']} n'={sizes['nprime']}",
     )
     if tag == "C21":
         # the printed clauses for this case put the larger cardinality on
@@ -276,75 +304,88 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
             {
                 "case": tag,
                 "printed_unprimed_log2": big,
-                "computed_unprimed_log2": fam.q.log2_size,
-                "computed_primed_log2": fam.q_prime.log2_size,
+                "computed_unprimed_log2": sizes["q"],
+                "computed_primed_log2": sizes["qprime"],
             },
         )
-    shift_code = code_from_polynomial(fam.shift_generator())
-    rep.row("shift_ideal_size", p, m, shift_code.log2_size == m, "ideal(h) scale")
+    # h*h = p*h, so e_u = h/p is the idempotent of the all-ones ideal, and
+    # the shift generator must be an odd multiple of it
+    one = ZPoly.one(p, m)
+    _, _, h = basis_vectors(p, m)
+    e_u = h.scale(pow(p, -1, 1 << m))
+    shift = fam.shift_generator()
+    unit = shift.coeffs[0] * p % (1 << m)
+    rep.row(
+        "shift_ideal_size",
+        p,
+        m,
+        block_set(e_u) == _SHIFT_BLOCKS
+        and ring_mul(e_u, e_u) == e_u
+        and unit % 2 == 1
+        and e_u.scale(unit) == shift,
+        "ideal(h) scale",
+    )
+
+    def adds_shift(small_name: str, big_name: str) -> bool:
+        e = idem[small_name]
+        return _same(_join(blocks[small_name], _SHIFT_BLOCKS), blocks[big_name]) and (
+            e + e_u - ring_mul(e, e_u) == idem[big_name]
+        )
+
     rep.row(
         "big_is_small_plus_shift",
         p,
         m,
-        big_q == sum_codes(small_q, shift_code)
-        and big_n == sum_codes(small_n, shift_code),
+        adds_shift(small_q, big_q) and adds_shift(small_n, big_n),
         "primed pair adds the all-ones ideal",
     )
-    big_span = sum_codes(big_q, big_n)
-    meet_size = big_q.log2_size + big_n.log2_size - big_span.log2_size
-
-    def is_big_meet(code) -> bool:
-        # a common subcode of the size |A||B|/|A+B| is the whole of A meet B
-        return (
-            big_q.contains_code(code)
-            and big_n.contains_code(code)
-            and code.log2_size == meet_size
-        )
-
+    big_meet = _meet(blocks[big_q], blocks[big_n])
+    big_union = _join(blocks[big_q], blocks[big_n])
+    prod = ring_mul(idem[big_q], idem[big_n])
+    esum = idem[big_q] + idem[big_n] - prod
     rep.row(
         "big_pair_intersection",
         p,
         m,
-        is_big_meet(shift_code),
+        big_meet == _SHIFT_BLOCKS and prod == e_u,
         "large pair meets in the all-ones ideal",
     )
     rep.row(
         "big_pair_sum",
         p,
         m,
-        big_span.log2_size == m * p,
+        _log2_size(big_union, p, m) == m * p and esum == one,
         "large pair spans the whole ring",
     )
     rep.row(
         "small_pair_intersection",
         p,
         m,
-        sum_codes(small_q, small_n).log2_size
-        == small_q.log2_size + small_n.log2_size,
+        _meet(blocks[small_q], blocks[small_n]) == frozenset()
+        and ring_mul(idem[small_q], idem[small_n]).is_zero(),
         "small pair meets trivially",
     )
-    codes = {
-        "q": fam.q,
-        "qprime": fam.q_prime,
-        "n": fam.n,
-        "nprime": fam.n_prime,
-    }
+    # x -> x^-1 swaps the residue and nonresidue blocks exactly when -1 is
+    # a nonresidue, p = 7 mod 8; the dual of C_S is the complement of the
+    # image of S, and the dual idempotent of e is 1 - e(x^-1)
+    inverse = {"u": "u", "q": "n", "n": "q"} if eps < 0 else {b: b for b in BLOCKS}
+
+    def inverted(s):
+        return None if s is None else frozenset(inverse[b] for b in s)
+
     pairing = {}
-    for name, c in codes.items():
-        # D is the dual of C exactly when they are orthogonal and |C||D| = 2^(mp)
-        partners = (
-            other
-            for other, d in codes.items()
-            if c.log2_size + d.log2_size == m * p and orthogonal(c, d)
-        )
+    for name, s in blocks.items():
+        dual_blocks = None if s is None else _ALL_BLOCKS - inverted(s)
+        partners = (other for other, t in blocks.items() if _same(dual_blocks, t))
         pairing[name] = next(partners, None)
     if eps < 0:
         expected = {"q": "qprime", "qprime": "q", "n": "nprime", "nprime": "n"}
     else:
         expected = {"q": "nprime", "nprime": "q", "n": "qprime", "qprime": "n"}
-    # the ideal of an idempotent e has dual C(1 - e(x^-1))
-    dual_q = code_from_polynomial(ZPoly.one(p, m) - mu_map(fam.idem_q, p - 1))
-    idempotent_ok = dual_q == codes.get(pairing["q"])
+    idempotent_ok = all(
+        partner is not None and one - mu_map(idem[name], p - 1) == idem[partner]
+        for name, partner in pairing.items()
+    )
     rep.row(
         "dual_pairing",
         p,
@@ -352,21 +393,35 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         pairing == expected and idempotent_ok,
         f"pairing {pairing}",
     )
+
+    def self_orthogonal_blocks(name: str) -> bool:
+        s = blocks[name]
+        return s is not None and not s & inverted(s)
+
+    def self_orthogonal_idempotent(name: str) -> bool:
+        e = idem[name]
+        return ring_mul(e, mu_map(e, p - 1)).is_zero()
+
     if eps < 0:
         rep.row(
             "small_self_orthogonal",
             p,
             m,
-            is_self_orthogonal(small_q) and is_self_orthogonal(small_n),
+            all(
+                self_orthogonal_blocks(name) and self_orthogonal_idempotent(name)
+                for name in (small_q, small_n)
+            ),
             "small codes sit inside their duals",
         )
     else:
-        self_orth = {name: is_self_orthogonal(c) for name, c in codes.items()}
+        self_orth = {name: self_orthogonal_blocks(name) for name in idem}
         rep.row(
             "no_self_orthogonal_member",
             p,
             m,
-            not any(self_orth.values()),
+            None not in blocks.values()
+            and not any(self_orth.values())
+            and not any(self_orthogonal_idempotent(name) for name in idem),
             "inversion fixes both residue classes",
         )
         rep.erratum(
@@ -379,19 +434,24 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
                 "self_orthogonal": self_orth,
             },
         )
-    lift_code = lifted_residue_code(p, m)
+    # (e) = (f_q) exactly when e*f_q = f_q and e is 0 on the block q
+    f_q = lifted_factors(p, m).f_q
+    cof_q = block_cofactors(p, m)[BLOCKS.index("q")]
+    e_big_q = idem[big_q]
     rep.row(
         "lift_identification",
         p,
         m,
-        big_q == lift_code,
+        _same(blocks[big_q], frozenset({"u", "n"}))
+        and ring_mul(e_big_q, f_q) == f_q
+        and ring_mul(e_big_q, cof_q).is_zero(),
         "large q-side code is the lifted residue factor ideal",
     )
     rep.row(
         "lift_idempotent",
         p,
         m,
-        idempotent_from_generator(lifted_factors(p, m).f_q) == idem_big_q,
+        idempotent_from_generator(f_q) == e_big_q,
         "generating idempotent of the lifted factor ideal",
     )
     # mu_u maps the ideal of e onto the ideal of mu_u(e), and equal ideals
@@ -411,20 +471,18 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         found is not None,
         f"relabeling by u={found}" if found is not None else "no unit found",
     )
-    prod = ring_mul(idem_big_q, idem_big_n)
     rep.row(
         "intersection_idempotent_route",
         p,
         m,
-        is_big_meet(code_from_polynomial(prod)),
+        _same(block_set(prod), big_meet),
         "product idempotent generates the intersection",
     )
-    esum = idem_big_q + idem_big_n - prod
     rep.row(
         "sum_idempotent_route",
         p,
         m,
-        code_from_polynomial(esum) == big_span,
+        _same(block_set(esum), big_union),
         "e + f - ef generates the sum",
     )
 

@@ -1,5 +1,7 @@
 import pytest
 
+from qr2m.qr import build_family
+
 # The constructible points of the wide grid: primes p < 200 with
 # p = +-1 mod 8, at 4 <= m <= 8.
 CONSTRUCTIBLE = (
@@ -12,6 +14,16 @@ CONSTRUCTIBLE = (
 @pytest.fixture(scope="session")
 def constructible_points():
     return CONSTRUCTIBLE
+
+
+@pytest.fixture(scope="session")
+def families():
+    """The family at each constructible point, built once per session.
+
+    A family builds each of its codes on first access and keeps it, so
+    tests that share this fixture share the codes too.
+    """
+    return {point: build_family(*point) for point in CONSTRUCTIBLE}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

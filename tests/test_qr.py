@@ -33,11 +33,14 @@ from qr2m.polyring import (
     ring_mul,
 )
 from qr2m.qr import (
+    BLOCKS,
     IdempotentCoeffs,
     _lift_span,
     _scan_span,
     assemble_basis,
     basis_vectors,
+    block_cofactors,
+    block_set,
     build_family,
     coefficient_system_holds,
     decompose_basis,
@@ -298,6 +301,45 @@ def test_family_error_paths():
         build_family(23, 5)
 
 
+def test_family_codes_are_built_on_first_access():
+    fam = build_family(7, 4)
+    assert "q" not in vars(fam)
+    assert fam.q == code_from_polynomial(fam.idem_q)
+    assert vars(fam)["q"] is fam.q
+
+
+BLOCK_POINTS = [(7, 1), (7, 3), (7, 4), (17, 4), (17, 5), (23, 6), (31, 5), (41, 2)]
+
+
+@pytest.mark.parametrize("p,m", BLOCK_POINTS)
+def test_block_cofactors_split_the_ring(p, m):
+    cofactors = block_cofactors(p, m)
+    assert len(cofactors) == len(BLOCKS)
+    for a, b in itertools.combinations(cofactors, 2):
+        assert ring_mul(a, b).is_zero()
+    assert block_set(ZPoly.one(p, m)) == set(BLOCKS)
+    assert block_set(ZPoly.zero(p, m)) == set()
+
+
+@pytest.mark.parametrize("p,m", BLOCK_POINTS)
+def test_block_sets_name_the_span_ideals(p, m):
+    # the eight span idempotents are 0 or 1 on each block, one for each
+    # block set, and the block degrees give the size of the Howell form
+    half = (p - 1) // 2
+    seen = set()
+    for triple in span_idempotents(p, m):
+        e = assemble_basis(p, m, *triple)
+        blocks = block_set(e)
+        assert blocks is not None
+        seen.add(blocks)
+        degrees = sum(1 if b == "u" else half for b in blocks)
+        assert code_from_polynomial(e).log2_size == m * degrees
+        if m > 1 and blocks:
+            # 2e is 0 or 2 on each block, never 0 or 1 on all of them
+            assert block_set(e.scale(2)) is None
+    assert len(seen) == 8
+
+
 def test_family_q_side_comparable_with_lift():
     for p, m in ((7, 4), (23, 4), (17, 5)):
         fam = build_family(p, m)
@@ -342,9 +384,8 @@ def test_divisor_code_needs_a_monic_generator():
         code_from_divisor([1, 3], 7, 2)
 
 
-def test_family_matches_the_rotation_span_route(constructible_points):
-    for p, m in constructible_points:
-        fam = build_family(p, m)
+def test_family_matches_the_rotation_span_route(families):
+    for (p, m), fam in families.items():
         # the candidate choice and codes of the route by rotation spans
         lift = code_from_polynomial(hensel_lift_factors(binary_qr_factors(p), m).f_q)
         chosen = None
@@ -366,11 +407,10 @@ def _dual_idempotent_code(e):
     return code_from_polynomial(ZPoly.one(e.n, e.m) - mu_map(e, e.n - 1))
 
 
-def test_dual_idempotent_route_matches_kernel(constructible_points):
+def test_dual_idempotent_route_matches_kernel(families):
     # the ideal of an idempotent e has dual C(1 - e(x^-1)); dual() is the
     # generic kernel route
-    for p, m in constructible_points:
-        fam = build_family(p, m)
+    for fam in families.values():
         for code, e in (
             (fam.q, fam.idem_q),
             (fam.q_prime, fam.idem_q_prime),

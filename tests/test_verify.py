@@ -1,17 +1,26 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from qr2m import polyring, qr, verify
+from qr2m import lincode, polyring, qr, verify
+from qr2m.lincode import (
+    code_from_polynomial,
+    is_self_orthogonal,
+    orthogonal,
+    sum_codes,
+)
 from qr2m.modring import is_odd_prime
+from qr2m.polyring import ZPoly, mu_map
 from qr2m.verify import SCHEMA_VERSION, run_verification
 
 # sha256 of the canonical wide-grid report; re-freeze only with a change
 # that alters the verify output on purpose, and record why
 WIDE_GRID_SHA256 = "795637c71dce4517b8c19146bbd96d4efebac1e4ce042f8b96d08190d495db90"
-# the same for the primes p < 400
+# the same for the primes p < 400 and p < 1000
 P400_GRID_SHA256 = "3487179babc71ee3a9f030ea28f89a7af8b0b457e474f11a74247433e52f036b"
+P1000_GRID_SHA256 = "4c155a4021c2070ecc38f3c5df9ca64af201e14c15dffa1e44476fbf9dbaed29"
 
 
 def desk_report():
@@ -138,6 +147,184 @@ def test_constructible_grid_points_verify_cleanly(constructible_points):
         assert any(c["name"] == "family_case" for c in report["checks"]), (p, m)
 
 
+def _howell_family_rows(fam) -> tuple[dict[str, bool], dict[str, str], dict]:
+    """Each Howell-backed family row decided by generic linear algebra.
+
+    Sizes, sums, containment and orthogonality of the built codes: the
+    route the sweep used before it read block sets and idempotents.
+    Returns the rows' booleans, the details the sweep prints from them,
+    and the errata fields derived from them.
+    """
+    p, m = fam.params.p, fam.params.m
+    _, eps = qr.split_parameter(p)
+    codes = {"q": fam.q, "qprime": fam.q_prime, "n": fam.n, "nprime": fam.n_prime}
+    if fam.case_tag in ("C12", "C21"):
+        small_q, small_n, big_q, big_n = fam.q, fam.n, fam.q_prime, fam.n_prime
+        idem_big_q, idem_big_n = fam.idem_q_prime, fam.idem_n_prime
+    else:
+        small_q, small_n, big_q, big_n = fam.q_prime, fam.n_prime, fam.q, fam.n
+        idem_big_q, idem_big_n = fam.idem_q, fam.idem_n
+    small, big = m * (p - 1) // 2, m * (p + 1) // 2
+    rows, details, errata = {}, {}, {}
+    rows["family_sizes"] = (
+        small_q.log2_size == small
+        and small_n.log2_size == small
+        and big_q.log2_size == big
+        and big_n.log2_size == big
+    )
+    details["family_sizes"] = (
+        f"log2 sizes q={fam.q.log2_size} q'={fam.q_prime.log2_size} "
+        f"n={fam.n.log2_size} n'={fam.n_prime.log2_size}"
+    )
+    errata["primed_role_exchange"] = (fam.q.log2_size, fam.q_prime.log2_size)
+    shift_code = code_from_polynomial(fam.shift_generator())
+    rows["shift_ideal_size"] = shift_code.log2_size == m
+    rows["big_is_small_plus_shift"] = (
+        big_q == sum_codes(small_q, shift_code)
+        and big_n == sum_codes(small_n, shift_code)
+    )
+    big_span = sum_codes(big_q, big_n)
+    meet_size = big_q.log2_size + big_n.log2_size - big_span.log2_size
+
+    def is_big_meet(code) -> bool:
+        # a common subcode of the size |A||B|/|A+B| is the whole of A meet B
+        return (
+            big_q.contains_code(code)
+            and big_n.contains_code(code)
+            and code.log2_size == meet_size
+        )
+
+    rows["big_pair_intersection"] = is_big_meet(shift_code)
+    rows["big_pair_sum"] = big_span.log2_size == m * p
+    rows["small_pair_intersection"] = (
+        sum_codes(small_q, small_n).log2_size == small_q.log2_size + small_n.log2_size
+    )
+    pairing = {}
+    for name, c in codes.items():
+        # D is the dual of C exactly when they are orthogonal and |C||D| = 2^(mp)
+        partners = (
+            other
+            for other, d in codes.items()
+            if c.log2_size + d.log2_size == m * p and orthogonal(c, d)
+        )
+        pairing[name] = next(partners, None)
+    if eps < 0:
+        expected = {"q": "qprime", "qprime": "q", "n": "nprime", "nprime": "n"}
+    else:
+        expected = {"q": "nprime", "nprime": "q", "n": "qprime", "qprime": "n"}
+    # the ideal of an idempotent e has dual C(1 - e(x^-1))
+    dual_q = code_from_polynomial(ZPoly.one(p, m) - mu_map(fam.idem_q, p - 1))
+    rows["dual_pairing"] = pairing == expected and dual_q == codes.get(pairing["q"])
+    details["dual_pairing"] = f"pairing {pairing}"
+    if eps < 0:
+        rows["small_self_orthogonal"] = is_self_orthogonal(small_q) and is_self_orthogonal(
+            small_n
+        )
+    else:
+        self_orth = {name: is_self_orthogonal(c) for name, c in codes.items()}
+        rows["no_self_orthogonal_member"] = not any(self_orth.values())
+        errata["dual_pairing_crossed"] = {"computed": pairing, "self_orthogonal": self_orth}
+    rows["lift_identification"] = big_q == code_from_polynomial(qr.lifted_factors(p, m).f_q)
+    prod = polyring.ring_mul(idem_big_q, idem_big_n)
+    rows["intersection_idempotent_route"] = is_big_meet(code_from_polynomial(prod))
+    rows["sum_idempotent_route"] = (
+        code_from_polynomial(idem_big_q + idem_big_n - prod) == big_span
+    )
+    return rows, details, errata
+
+
+def test_family_rows_match_the_howell_oracle(families):
+    for (p, m), fam in families.items():
+        rows, details, errata = _howell_family_rows(fam)
+        assert all(rows.values()), (p, m)
+        report = run_verification([p], [m])
+        checks = {c["name"]: c for c in report["checks"] if c["m"] == m}
+        for name, holds in rows.items():
+            assert checks[name]["status"] == ("pass" if holds else "fail"), (p, m, name)
+        for name, detail in details.items():
+            assert checks[name]["detail"] == detail, (p, m, name)
+        for name in ("family_case", "lift_idempotent", "mu_equivalence"):
+            assert checks[name]["status"] == "pass", (p, m, name)
+        found = {e["kind"]: e["detail"] for e in report["errata"] if e["m"] == m}
+        if fam.case_tag == "C21":
+            entry = found["primed_role_exchange"]
+            sizes = (entry["computed_unprimed_log2"], entry["computed_primed_log2"])
+            assert sizes == errata["primed_role_exchange"], (p, m)
+        if "dual_pairing_crossed" in errata:
+            entry = found["dual_pairing_crossed"]
+            assert {
+                "computed": entry["computed"],
+                "self_orthogonal": entry["self_orthogonal"],
+            } == errata["dual_pairing_crossed"], (p, m)
+
+
+def _failed_rows(report) -> set[str]:
+    return {c["name"] for c in report["checks"] if c["status"] == "fail"}
+
+
+# the rows that read the small q-side idempotent idem_q (C12 and C21)
+SMALL_Q_ROWS = {
+    "big_is_small_plus_shift",
+    "dual_pairing",
+    "mu_equivalence",
+    "small_pair_intersection",
+}
+
+
+# the self-orthogonality row reads the small codes when p = 7 mod 8 and
+# all four codes when p = 1 mod 8
+@pytest.mark.parametrize(
+    "p,m,small_extra,big_extra",
+    [
+        (7, 4, {"small_self_orthogonal"}, set()),
+        (17, 5, {"no_self_orthogonal_member"}, {"no_self_orthogonal_member"}),
+    ],
+)
+def test_a_broken_family_fails_the_rows_that_read_it(monkeypatch, p, m, small_extra, big_extra):
+    fam = qr.build_family(p, m)
+    doubled = dataclasses.replace(fam, idem_q=fam.idem_q.scale(2))
+    swapped = dataclasses.replace(fam, idem_q=fam.idem_n)
+    doubled_big = dataclasses.replace(fam, idem_q_prime=fam.idem_q_prime.scale(2))
+    assert qr.block_set(doubled.idem_q) is None
+    assert qr.block_set(doubled_big.idem_q_prime) is None
+    expect = {
+        # 2e is no idempotent: no block set, so no size and no dual either
+        doubled: SMALL_Q_ROWS | {"family_sizes"} | small_extra,
+        # idem_n has the right size and is self-orthogonal as idem_q would be
+        swapped: SMALL_Q_ROWS,
+        doubled_big: {
+            "big_is_small_plus_shift",
+            "big_pair_intersection",
+            "big_pair_sum",
+            "dual_pairing",
+            "family_sizes",
+            "intersection_idempotent_route",
+            "lift_identification",
+            "lift_idempotent",
+            "mu_equivalence",
+            "sum_idempotent_route",
+        }
+        | big_extra,
+    }
+    for broken, rows in expect.items():
+        monkeypatch.setattr(verify, "build_family", lambda p, m: broken)
+        report = run_verification([p], [m])
+        assert _failed_rows(report) == rows
+        assert report["summary"]["ok"] is False
+
+
+def test_the_sweep_builds_no_code(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep reached generic linear algebra")
+
+    monkeypatch.setattr(lincode, "_howell", refuse)
+    monkeypatch.setattr(lincode, "orthogonal", refuse)
+    monkeypatch.setattr(qr, "code_from_divisor", refuse)
+    report = run_verification([7, 17, 127], [4, 5, 8])
+    assert report["summary"]["failed"] == 0
+    assert len([c for c in report["checks"] if c["name"] == "family_case"]) == 3
+
+
 def _grid_report_digest(bound: int) -> tuple[int, str]:
     primes = [p for p in range(3, bound) if is_odd_prime(p) and p % 8 in (1, 7)]
     report = run_verification(primes, range(4, 9))
@@ -152,5 +339,11 @@ def test_wide_grid_report_is_frozen():
 @pytest.mark.slow
 def test_p400_grid_report_is_frozen():
     # reaches the constructible points with 200 < p < 400 that no other
-    # test builds; about 15 s, so CI runs it by name (pytest -m slow)
+    # test builds; about 2 s, and CI runs it by name (pytest -m slow)
     assert _grid_report_digest(400) == (35, P400_GRID_SHA256)
+
+
+@pytest.mark.slow
+def test_p1000_grid_report_is_frozen():
+    # 80 primes at m = 4..8, 400 points; about 20 s, so CI runs it by name
+    assert _grid_report_digest(1000) == (80, P1000_GRID_SHA256)
