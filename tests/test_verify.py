@@ -224,7 +224,7 @@ def _howell_family_rows(fam) -> tuple[dict[str, bool], dict[str, str], dict]:
         self_orth = {name: is_self_orthogonal(c) for name, c in codes.items()}
         rows["no_self_orthogonal_member"] = not any(self_orth.values())
         errata["dual_pairing_crossed"] = {"computed": pairing, "self_orthogonal": self_orth}
-    rows["lift_identification"] = big_q == code_from_polynomial(qr.lifted_factors(p, m).f_q)
+    rows["lift_identification"] = big_q == qr.lifted_residue_code(p, m)
     prod = polyring.ring_mul(idem_big_q, idem_big_n)
     rows["intersection_idempotent_route"] = is_big_meet(code_from_polynomial(prod))
     rows["sum_idempotent_route"] = (
