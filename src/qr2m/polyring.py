@@ -11,7 +11,11 @@ lane format (_byte_lanes, _ones, _pack, _unpack) is shared with lincode's
 packed rows.
 Alongside the cyclic ring ZPoly this module carries the non-cyclic
 helpers needed to factor x^p - 1 over GF(2) and to lift that
-factorization to 2^m by modulus-doubling Hensel steps.
+factorization to 2^m by modulus-doubling Hensel steps.  Division over
+Z/2^m goes through a Newton inverse of the reversed divisor, so it too is
+a few packed products, and a Hensel step computes one inverse per divisor.
+GF(2)[x] polynomials are ints, bit i the coefficient of x^i, so the gcds
+and Bezout pairs behind the factorization are shifts and XORs.
 """
 
 from __future__ import annotations
@@ -234,45 +238,58 @@ def _mul_raw(a: Sequence[int], b: Sequence[int], mod: int) -> list[int]:
     return _trim(list(_unpack(prod, len(a) + len(b) - 1, width, mod - 1)))
 
 
-def _divmod_raw(a: list[int], b: list[int], mod: int) -> tuple[list[int], list[int]]:
-    """Division by b with invertible leading coefficient."""
+def _pad(a: list[int], k: int) -> list[int]:
+    """The first k coefficients of a, zeros filled in."""
+    return a[:k] + [0] * (k - len(a))
+
+
+def _reversed_inverse(b: list[int], k: int, mod: int) -> list[int]:
+    """The first k coefficients of 1 / rev(b), where rev(b) = x^deg(b) b(1/x).
+
+    b is trimmed with an odd leading coefficient, the constant term of
+    rev(b).  Newton's step g <- g (2 - rev(b) g) doubles the precision
+    each time; it is taken as g - g (rev(b) g - 1), where rev(b) g - 1
+    vanishes below the old precision, so only its next block is multiplied.
+    The result has exactly k entries.
+    """
+    rev = b[::-1]
+    g = [pow(rev[0], -1, mod)]
+    while len(g) < k:
+        lo, hi = len(g), min(2 * len(g), k)
+        err = _mul_raw(rev[:hi], g, mod)[lo:hi]
+        corr = _mul_raw(g[:hi - lo], err, mod)
+        g += [-c % mod for c in _pad(corr, hi - lo)]
+    return g
+
+
+def _divmod_raw(
+    a: list[int], b: list[int], mod: int, inv: list[int] | None = None,
+) -> tuple[list[int], list[int]]:
+    """Division by b with odd leading coefficient, through a Newton inverse.
+
+    With k = deg a - deg b + 1, rev(q) = rev(a) * rev(b)^-1 mod x^k and
+    r = a - b q, so the division is two products.  inv, if given, is
+    _reversed_inverse(b, K, mod) for some K >= k: several divisions by the
+    same b share it.  A zero b raises ZeroDivisionError, an even leading
+    coefficient the ValueError of pow(lead, -1, mod).
+    """
     b = _trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = pow(b[-1], -1, mod)
-    rem = [c % mod for c in a]
-    _trim(rem)
-    quo = [0] * max(0, len(rem) - len(b) + 1)
-    while len(rem) >= len(b):
-        shift = len(rem) - len(b)
-        factor = rem[-1] * lead_inv % mod
-        quo[shift] = factor
-        for i, cb in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * cb) % mod
-        _trim(rem)
-    return _trim(quo), rem
-
-
-def _gcd_gf2(a: list[int], b: list[int]) -> list[int]:
-    a = _trim([c & 1 for c in a])
-    b = _trim([c & 1 for c in b])
-    while b:
-        _, r = _divmod_raw(a, b, 2)
-        a, b = b, r
-    return a
-
-
-def _xgcd_gf2(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """Return (g, s, t) over GF(2) with s*a + t*b = g."""
-    r0, r1 = _trim([c & 1 for c in a]), _trim([c & 1 for c in b])
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _divmod_raw(r0, r1, 2)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub_raw(s0, _mul_raw(q, s1, 2), 2)
-        t0, t1 = t1, _sub_raw(t0, _mul_raw(q, t1, 2), 2)
-    return r0, s0, t0
+    pow(b[-1], -1, mod)  # an even leading coefficient raises ValueError here
+    b = [c % mod for c in b]
+    a = _trim([c % mod for c in a])
+    k = len(a) - len(b) + 1
+    if k <= 0:
+        return [], a
+    if inv is None:
+        inv = _reversed_inverse(b, k, mod)
+    elif len(inv) < k:
+        raise ValueError(f"inverse of precision {len(inv)} cannot divide to {k} terms")
+    rev_q = _mul_raw(a[:-k - 1:-1], inv[:k], mod)
+    q = _trim(_pad(rev_q, k)[::-1])
+    low = len(b) - 1
+    return q, _sub_raw(a[:low], _mul_raw(b[:low], q[:low], mod)[:low], mod)
 
 
 def _zip_pad(a: list[int], b: list[int]):
@@ -303,6 +320,60 @@ def _to_zpoly(raw: list[int], n: int, m: int) -> ZPoly:
 
 def _from_zpoly(f: ZPoly) -> list[int]:
     return _trim(list(f.coeffs))
+
+
+# ----------------------------------------------------------------------
+# GF(2)[x] as ints: bit i is the coefficient of x^i, so addition is XOR.
+
+def _gf2_int(a: Sequence[int]) -> int:
+    """The GF(2) polynomial of a coefficient sequence, each taken mod 2."""
+    return int("".join(str(c & 1) for c in reversed(a)) or "0", 2)
+
+
+def _gf2_list(a: int) -> list[int]:
+    """Coefficient list of a GF(2) polynomial, constant first, trimmed."""
+    return [int(c) for c in reversed(bin(a)[2:])] if a else []
+
+
+def _gf2_mul(a: int, b: int) -> int:
+    """Carry-less product: b shifted by each set bit of a, XORed together."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        out ^= b << (low.bit_length() - 1)
+        a ^= low
+    return out
+
+
+def _gf2_divmod(a: int, b: int) -> tuple[int, int]:
+    """Division by a nonzero b: shift b under the top bit of a and XOR."""
+    db = b.bit_length()
+    if not db:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = 0
+    while (shift := a.bit_length() - db) >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+def _gcd_gf2(a: int, b: int) -> int:
+    while b:
+        a, b = b, _gf2_divmod(a, b)[1]
+    return a
+
+
+def _xgcd_gf2(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, s, t) over GF(2) with s*a + t*b = g = gcd(a, b)."""
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q, r = _gf2_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 ^ _gf2_mul(q, s1)
+        t0, t1 = t1, t0 ^ _gf2_mul(q, t1)
+    return r0, s0, t0
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +425,9 @@ def binary_qr_factors(p: int) -> FactorSet:
     residue, so the residue and nonresidue support polynomials are
     idempotent mod 2 and their gcds with x^p - 1 pick out exactly the
     factors rooted at residue and at nonresidue exponents.  No root of
-    unity is ever represented explicitly.
+    unity is ever represented explicitly.  The supports are the partition's
+    bit masks and the gcds run on GF(2)[x] as ints, with the cofactor
+    (x^p - 1) / (x - 1) = 1 + x + ... + x^(p-1) as the mask of p ones.
     """
     part = quad_partition(p)
     qset, nset = set(part.q), set(part.n)
@@ -362,24 +435,18 @@ def binary_qr_factors(p: int) -> FactorSet:
         inside_q = sum(1 for i in coset if i in qset)
         if inside_q not in (0, len(coset)):
             raise NotCoprime(f"coset {coset} straddles the partition for p={p}")
-    cofactor = [1] * p  # (x^p - 1) / (x - 1) over GF(2)
-    e1 = [0] * p
-    for i in part.q:
-        e1[i] = 1
-    e2 = [0] * p
-    for i in part.n:
-        e2[i] = 1
-    f_q = _gcd_gf2(e1, cofactor)
-    f_n = _gcd_gf2(e2, cofactor)
+    cofactor = (1 << p) - 1
+    f_q = _gcd_gf2(part.q_mask, cofactor)
+    f_n = _gcd_gf2(part.n_mask, cofactor)
     half = (p - 1) // 2
-    if len(f_q) != half + 1 or len(f_n) != half + 1:
+    if f_q.bit_length() != half + 1 or f_n.bit_length() != half + 1:
         raise NotCoprime(f"unexpected factor degrees for p={p}")
     fs = FactorSet(
         p=p,
         m=1,
         f_unit=_to_zpoly([1, 1], p, 1),
-        f_q=_to_zpoly(f_q, p, 1),
-        f_n=_to_zpoly(f_n, p, 1),
+        f_q=_to_zpoly(_gf2_list(f_q), p, 1),
+        f_n=_to_zpoly(_gf2_list(f_n), p, 1),
     )
     if not fs.verify_product():
         raise NotCoprime(f"binary factor product check failed for p={p}")
@@ -392,21 +459,27 @@ def _hensel_step(
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """One modulus-doubling step: f = g*h and s*g + t*h = 1 carried to mod.
 
-    g, h and f must be monic.  The corrections are taken as remainders or
-    exact quotients by the monic factors, which keeps every degree bound
-    intact (delta-g below has degree < deg g, so g stays monic).
+    g, h and f must be monic, with deg s < deg h and deg t < deg g.  The
+    corrections are taken as remainders or exact quotients by the monic
+    factors, which keeps every degree bound intact (delta-g below has
+    degree < deg g, so g stays monic).  Every dividend has degree at most
+    deg f + deg h - 2, so deg f - 1 terms of the Newton inverse of h serve
+    both divisions by h, and likewise for h1.
     """
+    prec = len(f) - 2
     e = _sub_raw(f, _mul_raw(g, h, mod), mod)
-    _, r = _divmod_raw(_mul_raw(s, e, mod), h, mod)
+    inv_h = _reversed_inverse(h, prec, mod)
+    _, r = _divmod_raw(_mul_raw(s, e, mod), h, mod, inv_h)
     h1 = _add_raw(h, r, mod)
-    dg, rem = _divmod_raw(_sub_raw(e, _mul_raw(g, r, mod), mod), h, mod)
+    dg, rem = _divmod_raw(_sub_raw(e, _mul_raw(g, r, mod), mod), h, mod, inv_h)
     if rem:
         raise AssertionError("Hensel factor correction was not divisible")
     g1 = _add_raw(g, dg, mod)
     b = _sub_raw(_add_raw(_mul_raw(s, g1, mod), _mul_raw(t, h1, mod), mod), [1], mod)
-    _, d = _divmod_raw(_mul_raw(s, b, mod), h1, mod)
+    inv_h1 = _reversed_inverse(h1, prec, mod)
+    _, d = _divmod_raw(_mul_raw(s, b, mod), h1, mod, inv_h1)
     s1 = _sub_raw(s, d, mod)
-    t1, rem2 = _divmod_raw(_sub_raw([1], _mul_raw(s1, g1, mod), mod), h1, mod)
+    t1, rem2 = _divmod_raw(_sub_raw([1], _mul_raw(s1, g1, mod), mod), h1, mod, inv_h1)
     if rem2:
         raise AssertionError("Hensel cofactor correction was not divisible")
     return g1, h1, s1, t1
@@ -417,7 +490,9 @@ def hensel_lift_factors(seed: FactorSet, m_target: int) -> FactorSet:
 
     The unit factor x - 1 divides x^p - 1 exactly over the integers, so
     only the split of the cofactor 1 + x + ... + x^(p-1) into f_q * f_n
-    needs Hensel steps, one modulus doubling at a time.
+    needs Hensel steps, one modulus doubling at a time.  The Bezout pair
+    of the seed comes from one extended Euclid on GF(2)[x] as ints, whose
+    gcd is also the coprimality check.
     """
     p = seed.p
     Modulus(m_target)
@@ -425,10 +500,10 @@ def hensel_lift_factors(seed: FactorSet, m_target: int) -> FactorSet:
         raise ShapeMismatch(f"cannot lift downward from 2^{seed.m} to 2^{m_target}")
     g = _from_zpoly(seed.f_q.reduce_mod(1))
     h = _from_zpoly(seed.f_n.reduce_mod(1))
-    gcd_gh = _gcd_gf2(g, h)
-    if gcd_gh != [1]:
-        raise NotCoprime(f"seed factors share gcd {gcd_gh} mod 2")
-    _, s, t = _xgcd_gf2(g, h)
+    gcd_gh, s, t = _xgcd_gf2(_gf2_int(g), _gf2_int(h))
+    if gcd_gh != 1:
+        raise NotCoprime(f"seed factors share gcd {_gf2_list(gcd_gh)} mod 2")
+    s, t = _gf2_list(s), _gf2_list(t)
     cofactor = [1] * p
     m_cur = 1
     while m_cur < m_target:
@@ -453,8 +528,8 @@ def idempotent_from_generator(f: ZPoly) -> ZPoly:
 
     Requires f to divide x^n - 1 over Z_{2^m} with cofactor coprime to f
     modulo 2.  The mod-2 idempotent comes from the Bezout identity of the
-    factor pair; Newton iteration e <- 3e^2 - 2e^3 lifts it, doubling the
-    modulus of validity each step.
+    factor pair, on GF(2)[x] as ints; Newton iteration e <- 3e^2 - 2e^3
+    lifts it, doubling the modulus of validity each step.
     """
     n, m = f.n, f.m
     mod = 1 << m
@@ -465,17 +540,16 @@ def idempotent_from_generator(f: ZPoly) -> ZPoly:
     if lead % 2 == 0:
         raise NotCoprimeCofactor(f"leading coefficient {lead} is not a unit")
     monic = [c * pow(lead, -1, mod) % mod for c in raw]
-    target = _x_pow_minus_one(n, mod)
-    cof, rem = _divmod_raw(target, monic, mod)
+    cof, rem = _divmod_raw(_x_pow_minus_one(n, mod), monic, mod)
     if rem:
         raise NotCoprimeCofactor("generator does not divide x^n - 1")
-    if _gcd_gf2(monic, cof) != [1]:
+    monic2 = _gf2_int(monic)
+    gcd_fc, s, _ = _xgcd_gf2(monic2, _gf2_int(cof))
+    if gcd_fc != 1:
         raise NotCoprimeCofactor("generator and cofactor share a factor mod 2")
-    _, s, _ = _xgcd_gf2(monic, cof)
     # e = s * f is 0 mod f and 1 mod cofactor, hence the mod-2 idempotent
-    e_raw = _mul_raw(s, [c & 1 for c in monic], 2)
-    _, e_raw = _divmod_raw(e_raw, [c & 1 for c in target], 2)
-    e = _to_zpoly(e_raw, n, m)
+    _, e_bits = _gf2_divmod(_gf2_mul(s, monic2), (1 << n) | 1)
+    e = _to_zpoly(_gf2_list(e_bits), n, m)
     validity = 1
     while validity < m:
         e2 = ring_mul(e, e)

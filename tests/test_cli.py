@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -258,3 +259,23 @@ def test_large_m_commands_finish(capsys, argv):
     code, data, _ = run_json(capsys, *argv)
     assert code == 0
     assert data["m"] == int(argv[2])
+
+
+# sha256 of the stdout of large-p commands, frozen from the long-division
+# lift (lift 10007 8 then took about 74 s; Newton division takes about 1 s)
+LARGE_P_STDOUT_SHA256 = {
+    ("lift", "1031", "8"): "f50c037b4a34cd101d0ea76e380054d69146ddf6a9ae4fd5a0d4bf933ea110fd",
+    ("lift", "4007", "8"): "77b7c1ddb832568582a711973244cb50aa5c5839e7914ece1167773b10993a25",
+    ("lift", "10007", "8"): "4cc6a3df17975a1f9c969b98e22b4adc5f11743fad1c8b0c4bfbc1113ee5cbeb",
+    ("idempotents", "1031", "6"): "a6028278adbce6534a164425c20fef626109cd105aead1224f67f2149a82c7a6",
+    ("identities", "10007", "8"): "ce7ba9d34affdbac8be1bfa0524a344de0310794d91357e12951724f54c4d531",
+}
+
+
+@pytest.mark.slow
+def test_large_p_outputs_are_frozen(capsys):
+    # a few seconds in all, so CI runs it by name (pytest -m slow)
+    for argv, digest in LARGE_P_STDOUT_SHA256.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

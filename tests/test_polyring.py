@@ -4,11 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qr2m.polyring as polyring
 from qr2m.errors import NotAUnit, ShapeMismatch
 from qr2m.lincode import _lane_width, code_from_polynomial
 from qr2m.polyring import (
     ZPoly,
     _byte_lanes,
+    _divmod_raw,
+    _gcd_gf2,
+    _gf2_divmod,
+    _gf2_int,
+    _gf2_list,
+    _gf2_mul,
+    _hensel_step,
     _mul_raw,
     _ones,
     _pack,
@@ -138,6 +146,136 @@ def test_mul_raw_matches_schoolbook():
             b = [rng.randrange(mod) for _ in range(rng.randint(1, 90))]
             assert _mul_raw(a, b, mod) == schoolbook(a, b, mod)
     assert _mul_raw([], [1, 1], 2) == []
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def schoolbook_divmod(a, b, mod):
+    """Long division by b with invertible leading coefficient: the oracle."""
+    b = _trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead_inv = pow(b[-1], -1, mod)
+    rem = _trim([c % mod for c in a])
+    quo = [0] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        factor = rem[-1] * lead_inv % mod
+        quo[shift] = factor
+        for i, cb in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - factor * cb) % mod
+        _trim(rem)
+    return _trim(quo), rem
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1, 2, 8, 31, 62]),
+    st.integers(min_value=-1, max_value=300),
+    st.integers(min_value=0, max_value=80),
+    st.data(),
+)
+def test_newton_division_matches_schoolbook(m, deg_a, deg_b, data):
+    mod = 1 << m
+    coeff = st.integers(min_value=0, max_value=mod - 1)
+    a = data.draw(st.lists(coeff, min_size=deg_a + 1, max_size=deg_a + 1))
+    # an odd leading coefficient other than 1 where the modulus allows one
+    odd = st.integers(min_value=0, max_value=mod // 2 - 1).map(lambda c: 2 * c + 1)
+    lead = data.draw(odd.filter(lambda c: c != 1) if m > 1 else odd)
+    b = data.draw(st.lists(coeff, min_size=deg_b, max_size=deg_b)) + [lead]
+    expected = schoolbook_divmod(a, b, mod)
+    assert _divmod_raw(a, b, mod) == expected
+    q, r = expected
+    assert len(r) < len(b)
+    # a shared inverse of higher precision gives the same quotient
+    inv = polyring._reversed_inverse(b, max(1, len(a) - len(b) + 1) + 7, mod)
+    assert _divmod_raw(a, b, mod, inv) == expected
+
+
+def test_newton_division_edge_cases():
+    assert _divmod_raw([], [3, 5], 8) == ([], [])
+    assert _divmod_raw([1, 2], [0, 0, 3], 8) == ([], [1, 2])
+    assert _divmod_raw([7, 9], [3], 8) == schoolbook_divmod([7, 9], [3], 8)
+    # coefficients outside [0, mod) are reduced first, as in long division
+    assert _divmod_raw([-1, 0, 9], [-3, 5], 8) == schoolbook_divmod([-1, 0, 9], [-3, 5], 8)
+    with pytest.raises(ZeroDivisionError):
+        _divmod_raw([1, 1], [], 8)
+    with pytest.raises(ZeroDivisionError):
+        _divmod_raw([1, 1], [0, 0], 8)
+    with pytest.raises(ValueError, match="not invertible"):
+        _divmod_raw([1, 1, 1], [1, 2], 8)
+    with pytest.raises(ValueError, match="not invertible"):
+        _divmod_raw([1, 1, 1], [1, 8], 8)
+    with pytest.raises(ValueError, match="precision"):
+        _divmod_raw([1] * 10, [1, 1], 8, [1, 7, 1])
+
+
+def _gf2_list_mul(a, b):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] ^= x & y
+    return _trim(out)
+
+
+def _gf2_list_add(a, b):
+    width = max(len(a), len(b))
+    return _trim([x ^ y for x, y in zip(a + [0] * (width - len(a)), b + [0] * (width - len(b)))])
+
+
+def _gf2_list_gcd(a, b):
+    while b:
+        a, b = b, schoolbook_divmod(a, b, 2)[1]
+    return a
+
+
+gf2_poly = st.lists(st.integers(0, 1), max_size=200).map(_trim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf2_poly, gf2_poly)
+def test_gf2_int_helpers_match_list_oracle(a, b):
+    x, y = _gf2_int(a), _gf2_int(b)
+    assert _gf2_list(x) == a and _gf2_int([c + 2 for c in a]) == x
+    assert _gf2_list(_gf2_mul(x, y)) == _gf2_list_mul(a, b)
+    assert _gf2_list(_gcd_gf2(x, y)) == _gf2_list_gcd(a, b)
+    if b:
+        q, r = _gf2_divmod(x, y)
+        assert [_gf2_list(q), _gf2_list(r)] == list(schoolbook_divmod(a, b, 2))
+    g, s, t = polyring._xgcd_gf2(x, y)
+    assert _gf2_list(g) == _gf2_list_gcd(a, b)
+    bezout = _gf2_list_add(_gf2_list_mul(_gf2_list(s), a), _gf2_list_mul(_gf2_list(t), b))
+    assert bezout == _gf2_list(g)
+
+
+def test_gf2_divmod_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        _gf2_divmod(0b101, 0)
+
+
+def test_hensel_step_computes_one_inverse_per_divisor(monkeypatch):
+    seed = binary_qr_factors(23)
+    g = list(seed.f_q.coeffs[:12])
+    h = list(seed.f_n.coeffs[:12])
+    _, s, t = polyring._xgcd_gf2(_gf2_int(g), _gf2_int(h))
+    divisors = []
+    real = polyring._reversed_inverse
+
+    def spy(b, k, mod):
+        divisors.append(list(b))
+        return real(b, k, mod)
+
+    monkeypatch.setattr(polyring, "_reversed_inverse", spy)
+    g1, h1, _, _ = _hensel_step([1] * 23, g, h, _gf2_list(s), _gf2_list(t), 4)
+    assert divisors == [h, h1]
+    assert hensel_lift_factors(seed, 2).f_n.coeffs[:12] == tuple(h1)
+    divisors.clear()
+    hensel_lift_factors(seed, 8)  # steps to 2^2, 2^4, 2^8
+    assert len(divisors) == 6
 
 
 def test_ring_mul_commutes_and_distributes():
