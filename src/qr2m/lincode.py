@@ -11,9 +11,9 @@ matrix comparison.  No floating point, no column permutations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -425,9 +425,23 @@ def _scan_words(words: Iterable[int], c: LinearCode) -> WeightReport:
 
 
 def _coordinate_code(n: int, m: int, support: Iterable[int], scale: int) -> LinearCode:
-    """The span of scale * e_i over the coordinates i in support."""
-    return canonical_form(
-        [[scale if j == i else 0 for j in range(n)] for i in support], n, m
+    """The span of scale * e_i over the coordinates i in support, a set.
+
+    For scale a power of two below 2^m, the rows scale * e_i in column
+    order are already the canonical form: each pivot is a power of two
+    with nothing above it, and 2^m / scale times it is 0.
+    """
+    width = _lane_width(n, m)
+    return LinearCode(n, m, tuple(scale << (width * i) for i in sorted(support)))
+
+
+def _is_cyclic(c: LinearCode) -> bool:
+    """Whether c is closed under the cyclic shift: every canonical row,
+    rotated by one lane, reduces to 0."""
+    width, low = c._width, c._low
+    top = width * (c.n - 1)
+    return not any(
+        c._remainder((row << width) & low | row >> top) for row in c.rows
     )
 
 
@@ -438,41 +452,67 @@ def min_weight(c: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
     C[2] = C intersect 2^(m-1) * Z^n and its support lies inside supp(w).
     So the lightest socle words carry exactly the supports S of the
     minimum-weight words of C, and those words are the nonzero words of
-    the shortened code C_S = C intersect span{e_i : i in S}.  The socle is
-    enumerated once, then every C_S; budget bounds the total number of
-    words enumerated, checked before each enumeration.
+    the shortened code C_S = C intersect span{e_i : i in S}.
+
+    The socle is a GF(2) space: each canonical row, read as the n-bit mask
+    of its 2^(m-1) lanes, is a basis vector, and a Gray code visits all
+    2^k socle words with one XOR and one popcount a step.  When c is
+    cyclic, C_S shifted by one is C_(S+1), with the same weights and lane
+    sums, so one shortened code is enumerated per rotation orbit of
+    lightest supports (keyed by its least rotation) and its count is
+    multiplied by the orbit's size; otherwise every orbit is one support.
+    budget bounds the words enumerated, the socle plus every C_S, orbit
+    members included, and is checked before each enumeration.
     """
     if c.is_zero:
         raise NoNonzeroWords("the zero code has no nonzero words")
-    n, m = c.n, c.m
+    n, m, width = c.n, c.m, c._width
     socle = intersect(c, _coordinate_code(n, m, range(n), 1 << (m - 1)))
     spent = 1 << socle.log2_size
     if spent > budget:
         raise BudgetExceeded(
             f"2^{socle.log2_size} socle words exceed the budget of {budget}"
         )
-    # socle entries are 0 or 2^(m-1): popcount is weight, bit m-1 is support
+    # basis[t] is the support mask of row t - 1: bit t of the Gray index
+    # i flips at i = 2^t (mod 2^(t+1)), and (i & -i).bit_length() is t + 1
+    basis = [0] + [
+        sum(1 << i for i in range(n) if row >> (width * i + m - 1) & 1)
+        for row in socle.rows
+    ]
     best = n + 1
     lightest = []
-    for word in socle._words():
+    word = 0
+    for i in range(1, 1 << len(socle.rows)):
+        word ^= basis[(i & -i).bit_length()]
         w = word.bit_count()
-        if w == 0 or w > best:
+        if w > best:
             continue
         if w < best:
             best = w
             lightest = []
         lightest.append(word)
-    shortened = []
-    for word in lightest:
-        support = [i for i in range(n) if word >> (c._width * i + m - 1) & 1]
+    if _is_cyclic(c):
+        full = (1 << n) - 1
+        orbits = Counter(
+            min(((s << t) | (s >> (n - t))) & full for t in range(n))
+            for s in lightest
+        )
+    else:
+        orbits = Counter(lightest)
+    count = 0
+    all_odd = True
+    for rep, size in orbits.items():
+        support = [i for i in range(n) if rep >> i & 1]
         short = intersect(c, _coordinate_code(n, m, support, 1))
-        spent += 1 << short.log2_size
+        spent += size << short.log2_size
         if spent > budget:
             raise BudgetExceeded(
                 f"{spent} socle and shortened-code words exceed the budget of {budget}"
             )
-        shortened.append(short)
-    return _scan_words(chain.from_iterable(s._words() for s in shortened), c)
+        report = _scan_words(short._words(), c)
+        count += size * report.min_weight_count
+        all_odd = all_odd and report.all_min_odd_like
+    return WeightReport(best, count, all_odd, enumerated=True)
 
 
 def extend(c: LinearCode) -> LinearCode:

@@ -279,3 +279,47 @@ def test_large_p_outputs_are_frozen(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_heaviest_lift_weight_reports(capsys):
+    for p, count in ((31, 155), (23, 253)):
+        code, data, _ = run_json(capsys, "weight", str(p), "1", "--code", "lift")
+        assert code == 0
+        assert data["report"] == {
+            "min_weight": 7,
+            "min_weight_count": count,
+            "all_min_odd_like": True,
+            "enumerated": True,
+        }
+
+
+WEIGHT_CALLS = (
+    [
+        ("weight", str(p), str(m), "--code", c)
+        for p, m in ((7, 4), (17, 5), (23, 4), (31, 6))
+        for c in ("q", "qprime", "n", "nprime")
+    ]
+    + [
+        ("weight", str(p), str(m), "--code", "lift")
+        for p in (7, 17, 23, 31)
+        for m in (1, 2, 3, 4)
+    ]
+    + [
+        ("weight", str(p), str(m), "--code", "ones")
+        for p, m in ((7, 4), (17, 5), (23, 4), (31, 6))
+    ]
+    + [("weight", "41", "1", "--code", "lift", "--budget", "4194304")]
+)
+# sha256 over the exit code and stdout of every call above, frozen before
+# min_weight walked the socle by a Gray code and shortened once per orbit
+WEIGHT_CALLS_SHA256 = "afab54f0815f4159e74e86da67e60e5a4a99fa2065cb42c0e47fcec6e18d9adf"
+
+
+@pytest.mark.slow
+def test_weight_reports_are_frozen(capsys):
+    # about a second, so CI runs it by name (pytest -m slow)
+    h = hashlib.sha256()
+    for argv in WEIGHT_CALLS:
+        code, out, _ = run_cli(capsys, *argv)
+        h.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert h.hexdigest() == WEIGHT_CALLS_SHA256

@@ -197,6 +197,111 @@ def test_min_weight_parity_of_all_ones_ideal():
     assert report.all_min_odd_like is True
 
 
+def cyclotomic(d):
+    """Phi_d over Z, constant first: x^d - 1 divided by every Phi_e, e | d, e < d."""
+    num = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            den = cyclotomic(e)
+            quot = [0] * (len(num) - len(den) + 1)
+            for i in reversed(range(len(quot))):
+                quot[i] = num[i + len(den) - 1]
+                for j, x in enumerate(den):
+                    num[i + j] -= quot[i] * x
+            assert not any(num)
+            num = quot
+    return num
+
+
+def as_zpoly(coeffs, n, m):
+    """The integer polynomial coeffs (constant first, length <= n) in Z/2^m[x]/(x^n - 1)."""
+    return ZPoly(n, m, tuple(c % (1 << m) for c in coeffs) + (0,) * (n - len(coeffs)))
+
+
+def rotation_closed(code):
+    words = set(code.codewords())
+    return all(w[-1:] + w[:-1] in words for w in words)
+
+
+def test_coordinate_code_rows_are_canonical():
+    rng = random.Random(37)
+    for m in (1, 2, 4, 8):
+        for scale in (1, 1 << (m - 1)):
+            for _ in range(25):
+                n = rng.randint(1, 12)
+                support = rng.sample(range(n), rng.randint(0, n))
+                rows = [[scale if j == i else 0 for j in range(n)] for i in support]
+                code = lincode._coordinate_code(n, m, support, scale)
+                assert code == canonical_form(rows, n, m)
+
+
+def test_min_weight_orbit_route_matches_brute_force():
+    # Every ideal of Z/2^m[x]/(x^n - 1) here is a multiple of a product of
+    # cyclotomic factors Phi_d, d | n, which divide x^n - 1 over Z; their
+    # choice keeps each code at most 2^12 words.  Composite n gives
+    # lightest supports with short rotation orbits, such as {0, 3, 6} at 9.
+    rng = random.Random(41)
+    phi = {d: cyclotomic(d) for n in (7, 9, 15, 21) for d in range(1, n + 1) if n % d == 0}
+    short_orbits = 0
+    cases = [(9, 2, as_zpoly(phi[9], 9, 2))]
+    for trial in range(48):
+        n = (7, 9, 15, 21)[trial % 4]
+        m = rng.choice((1, 2, 3))
+        divisors = [d for d in phi if n % d == 0]
+        while True:
+            chosen = [d for d in divisors if rng.random() < 0.5]
+            rank = n - sum(len(phi[d]) - 1 for d in chosen)
+            if 1 <= rank <= 12 // m:
+                break
+        g = ZPoly.one(n, m)
+        for d in chosen:
+            g = g * as_zpoly(phi[d], n, m)
+        a = as_zpoly([rng.randrange(1 << m) for _ in range(n)], n, m)
+        cases.append((n, m, (g * a).scale(1 << rng.randrange(m))))
+    for n, m, g in cases:
+        code = code_from_polynomial(g)
+        assert lincode._is_cyclic(code)
+        nonzero = [w for w in code.codewords() if any(w)]
+        if not nonzero:
+            with pytest.raises(NoNonzeroWords):
+                min_weight(code)
+            continue
+        report = min_weight(code)
+        weights = [sum(1 for x in w if x) for w in nonzero]
+        minimal = [w for w in nonzero if sum(1 for x in w if x) == min(weights)]
+        assert report.min_weight == min(weights)
+        assert report.min_weight_count == len(minimal)
+        assert report.all_min_odd_like == all(not is_even_like(w, m) for w in minimal)
+        for w in minimal:
+            support = {i for i, x in enumerate(w) if x}
+            orbit = {frozenset((i + t) % n for i in support) for t in range(n)}
+            short_orbits += len(orbit) < n
+    assert short_orbits > 0
+    # Phi_9 = 1 + x^3 + x^6: three supports of weight 3, each orbit of size 3
+    assert min_weight(code_from_polynomial(cases[0][2])).as_dict() == {
+        "min_weight": 3,
+        "min_weight_count": 9,
+        "all_min_odd_like": True,
+        "enumerated": True,
+    }
+
+
+def test_cyclicity_matches_rotation_closure():
+    rng = random.Random(47)
+    seen = set()
+    for trial in range(40):
+        n, m = SHAPES[trial % len(SHAPES)]
+        rows = random_rows(rng, n, m, rng.randint(1, 2))
+        if trial % 2:
+            code = canonical_form(rows, n, m)
+        else:
+            code = code_from_polynomial(ZPoly(n, m, tuple(rows[0])))
+        closed = rotation_closed(code)
+        assert lincode._is_cyclic(code) == closed
+        seen.add(closed)
+    assert seen == {True, False}
+
+
 def test_self_orthogonality():
     # the ideal generated by 2 in Z/4 of length 3 pairs to 0 with itself
     doubled = canonical_form([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 3, 2)
