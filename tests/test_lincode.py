@@ -214,7 +214,8 @@ def cyclotomic(d):
 
 
 def as_zpoly(coeffs, n, m):
-    """The integer polynomial coeffs (constant first, length <= n) in Z/2^m[x]/(x^n - 1)."""
+    """The integer polynomial coeffs, constant first and at most n of them,
+    as an element of Z/2^m[x]/(x^n - 1)."""
     return ZPoly(n, m, tuple(c % (1 << m) for c in coeffs) + (0,) * (n - len(coeffs)))
 
 
@@ -241,11 +242,12 @@ def test_min_weight_orbit_route_matches_brute_force():
     # choice keeps each code at most 2^12 words.  Composite n gives
     # lightest supports with short rotation orbits, such as {0, 3, 6} at 9.
     rng = random.Random(41)
-    phi = {d: cyclotomic(d) for n in (7, 9, 15, 21) for d in range(1, n + 1) if n % d == 0}
+    lengths = (7, 9, 15, 21)
+    phi = {d: cyclotomic(d) for n in lengths for d in range(1, n + 1) if n % d == 0}
     short_orbits = 0
     cases = [(9, 2, as_zpoly(phi[9], 9, 2))]
     for trial in range(48):
-        n = (7, 9, 15, 21)[trial % 4]
+        n = lengths[trial % len(lengths)]
         m = rng.choice((1, 2, 3))
         divisors = [d for d in phi if n % d == 0]
         while True:
@@ -277,7 +279,7 @@ def test_min_weight_orbit_route_matches_brute_force():
             orbit = {frozenset((i + t) % n for i in support) for t in range(n)}
             short_orbits += len(orbit) < n
     assert short_orbits > 0
-    # Phi_9 = 1 + x^3 + x^6: three supports of weight 3, each orbit of size 3
+    # Phi_9 = 1 + x^3 + x^6: one orbit of three weight-3 supports, 3 words each
     assert min_weight(code_from_polynomial(cases[0][2])).as_dict() == {
         "min_weight": 3,
         "min_weight_count": 9,
