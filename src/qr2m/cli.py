@@ -35,7 +35,11 @@ class ConfigError(Qr2mError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Parsed sweep configuration for the verify command."""
+    """Parsed sweep configuration for the verify command.
+
+    budget is echoed into the report's config.budget and read by no check;
+    format is validated as json or csv, but the report is always JSON.
+    """
 
     p_list: tuple[int, ...]
     m_list: tuple[int, ...]

@@ -13,6 +13,10 @@ class NotPrime(Qr2mError):
     """The argument must be an odd prime."""
 
 
+class PrimeTooLarge(Qr2mError):
+    """p exceeds MAX_P, so its p-sized tables and products are refused."""
+
+
 class BadResidueClass(Qr2mError):
     """The prime is not congruent to +1 or -1 modulo 8."""
 

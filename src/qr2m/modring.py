@@ -19,9 +19,20 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from .errors import BadModulus, BadResidueClass, NoValidK, NotPrime, OutOfFamilyRange
+from .errors import (
+    BadModulus,
+    BadResidueClass,
+    NoValidK,
+    NotPrime,
+    OutOfFamilyRange,
+    PrimeTooLarge,
+)
 
 MAX_M = 62
+# largest p accepted; the partition, its tables and masks and every ring
+# element over it are p-sized, and at p near 2^20 a partition alone takes
+# seconds and about 150 MB
+MAX_P = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -37,6 +48,14 @@ class Modulus:
     @property
     def value(self) -> int:
         return 1 << self.m
+
+
+def _require_odd_prime(p: int) -> None:
+    """Raise PrimeTooLarge above MAX_P, before any trial division, or NotPrime."""
+    if isinstance(p, int) and p > MAX_P:
+        raise PrimeTooLarge(f"p = {p} exceeds the bound MAX_P = 2^20")
+    if not is_odd_prime(p):
+        raise NotPrime(f"{p} is not an odd prime")
 
 
 def is_odd_prime(p: int) -> bool:
@@ -99,9 +118,8 @@ class QuadPartition:
 
 @lru_cache(maxsize=None)
 def quad_partition(p: int) -> QuadPartition:
-    """Split {1..p-1} by squaring; requires prime p = +-1 mod 8."""
-    if not is_odd_prime(p):
-        raise NotPrime(f"{p} is not an odd prime")
+    """Split {1..p-1} by squaring; requires prime p = +-1 mod 8, p <= MAX_P."""
+    _require_odd_prime(p)
     if p % 8 not in (1, 7):
         raise BadResidueClass(f"{p} is not +-1 mod 8 (p mod 8 = {p % 8})")
     squares = sorted({i * i % p for i in range(1, p)})
@@ -150,8 +168,7 @@ def family_params(p: int, m: int) -> FamilyParams:
     which puts k in 1..2^(m-3) - 1.  Residues 1 and -1 mod 2^m are
     excluded from the family and raise OutOfFamilyRange.
     """
-    if not is_odd_prime(p):
-        raise NotPrime(f"{p} is not an odd prime")
+    _require_odd_prime(p)
     if p % 8 not in (1, 7):
         raise BadResidueClass(f"{p} is not +-1 mod 8")
     if m < 4:

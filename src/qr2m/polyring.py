@@ -11,11 +11,14 @@ lane format (_byte_lanes, _ones, _pack, _unpack) is shared with lincode's
 packed rows.
 Alongside the cyclic ring ZPoly this module carries the non-cyclic
 helpers needed to factor x^p - 1 over GF(2) and to lift that
-factorization to 2^m by modulus-doubling Hensel steps.  Division over
-Z/2^m goes through a Newton inverse of the reversed divisor, so it too is
-a few packed products, and a Hensel step computes one inverse per divisor.
-GF(2)[x] polynomials are ints, bit i the coefficient of x^i, so the gcds
-and Bezout pairs behind the factorization are shifts and XORs.
+factorization to 2^m.  The lift is Graeffe root-squaring: a factor F of
+x^p - 1 whose roots are closed under squaring has F(x^2) = +-F(x) F(-x),
+so each bit of the modulus is one packed product per factor, with no
+division.  Division over Z/2^m, which idempotent_from_generator needs,
+goes through a Newton inverse of the reversed divisor, so it too is a few
+packed products.  GF(2)[x] polynomials are ints, bit i the coefficient of
+x^i, so the gcds and Bezout pairs behind the factorization are shifts and
+XORs.
 """
 
 from __future__ import annotations
@@ -262,16 +265,13 @@ def _reversed_inverse(b: list[int], k: int, mod: int) -> list[int]:
     return g
 
 
-def _divmod_raw(
-    a: list[int], b: list[int], mod: int, inv: list[int] | None = None,
-) -> tuple[list[int], list[int]]:
+def _divmod_raw(a: list[int], b: list[int], mod: int) -> tuple[list[int], list[int]]:
     """Division by b with odd leading coefficient, through a Newton inverse.
 
     With k = deg a - deg b + 1, rev(q) = rev(a) * rev(b)^-1 mod x^k and
-    r = a - b q, so the division is two products.  inv, if given, is
-    _reversed_inverse(b, K, mod) for some K >= k: several divisions by the
-    same b share it.  A zero b raises ZeroDivisionError, an even leading
-    coefficient the ValueError of pow(lead, -1, mod).
+    r = a - b q, so the division is two products.  A zero b raises
+    ZeroDivisionError, an even leading coefficient the ValueError of
+    pow(lead, -1, mod).
     """
     b = _trim(list(b))
     if not b:
@@ -282,27 +282,11 @@ def _divmod_raw(
     k = len(a) - len(b) + 1
     if k <= 0:
         return [], a
-    if inv is None:
-        inv = _reversed_inverse(b, k, mod)
-    elif len(inv) < k:
-        raise ValueError(f"inverse of precision {len(inv)} cannot divide to {k} terms")
-    rev_q = _mul_raw(a[:-k - 1:-1], inv[:k], mod)
+    rev_q = _mul_raw(a[:-k - 1:-1], _reversed_inverse(b, k, mod), mod)
     q = _trim(_pad(rev_q, k)[::-1])
     low = len(b) - 1
-    return q, _sub_raw(a[:low], _mul_raw(b[:low], q[:low], mod)[:low], mod)
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    width = max(len(a), len(b))
-    return zip(a + [0] * (width - len(a)), b + [0] * (width - len(b)))
-
-
-def _add_raw(a: list[int], b: list[int], mod: int) -> list[int]:
-    return _trim([(x + y) % mod for x, y in _zip_pad(list(a), list(b))])
-
-
-def _sub_raw(a: list[int], b: list[int], mod: int) -> list[int]:
-    return _trim([(x - y) % mod for x, y in _zip_pad(list(a), list(b))])
+    bq = _pad(_mul_raw(b[:low], q[:low], mod), low)
+    return q, _trim([(x - y) % mod for x, y in zip(a[:low], bq)])
 
 
 def _x_pow_minus_one(n: int, mod: int) -> list[int]:
@@ -453,70 +437,51 @@ def binary_qr_factors(p: int) -> FactorSet:
     return fs
 
 
-def _hensel_step(
-    f: list[int], g: list[int], h: list[int],
-    s: list[int], t: list[int], mod: int,
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """One modulus-doubling step: f = g*h and s*g + t*h = 1 carried to mod.
+def _graeffe_lift(f: list[int], m: int) -> list[int]:
+    """The monic factor of x^p - 1 over Z/2^m that reduces to f mod 2.
 
-    g, h and f must be monic, with deg s < deg h and deg t < deg g.  The
-    corrections are taken as remainders or exact quotients by the monic
-    factors, which keeps every degree bound intact (delta-g below has
-    degree < deg g, so g stays monic).  Every dividend has degree at most
-    deg f + deg h - 2, so deg f - 1 terms of the Newton inverse of h serve
-    both divisions by h, and likewise for h1.
+    f is a factor of x^p - 1 over GF(2), p odd, so the roots of its lift F
+    are p-th roots of unity closed under squaring, and Graeffe's identity
+    F(x^2) = (-1)^d F(x) F(-x), d = deg F, holds.  If g = F + 2^k e, then
+    g(x) g(-x) differs from F(x) F(-x) by a multiple of 2^(2k) plus
+    2^k (u(x) + u(-x)) with u = e(x) F(-x), and u(x) + u(-x) is twice the
+    even part of u; so (-1)^d g(x) g(-x) is F(x^2) mod 2^(k+1).  Each bit
+    is therefore one product of g with (-1)^d g(-x), whose even-index
+    coefficients are those of F mod 2^(k+1).
     """
-    prec = len(f) - 2
-    e = _sub_raw(f, _mul_raw(g, h, mod), mod)
-    inv_h = _reversed_inverse(h, prec, mod)
-    _, r = _divmod_raw(_mul_raw(s, e, mod), h, mod, inv_h)
-    h1 = _add_raw(h, r, mod)
-    dg, rem = _divmod_raw(_sub_raw(e, _mul_raw(g, r, mod), mod), h, mod, inv_h)
-    if rem:
-        raise AssertionError("Hensel factor correction was not divisible")
-    g1 = _add_raw(g, dg, mod)
-    b = _sub_raw(_add_raw(_mul_raw(s, g1, mod), _mul_raw(t, h1, mod), mod), [1], mod)
-    inv_h1 = _reversed_inverse(h1, prec, mod)
-    _, d = _divmod_raw(_mul_raw(s, b, mod), h1, mod, inv_h1)
-    s1 = _sub_raw(s, d, mod)
-    t1, rem2 = _divmod_raw(_sub_raw([1], _mul_raw(s1, g1, mod), mod), h1, mod, inv_h1)
-    if rem2:
-        raise AssertionError("Hensel cofactor correction was not divisible")
-    return g1, h1, s1, t1
+    d = len(f) - 1
+    g = f
+    for k in range(2, m + 1):
+        mod = 1 << k
+        reflected = [(-c if (d - i) & 1 else c) % mod for i, c in enumerate(g)]
+        g = _mul_raw(g, reflected, mod)[::2]
+    return g
 
 
 def hensel_lift_factors(seed: FactorSet, m_target: int) -> FactorSet:
     """Lift the binary factorization to Z_{2^m_target}.
 
-    The unit factor x - 1 divides x^p - 1 exactly over the integers, so
-    only the split of the cofactor 1 + x + ... + x^(p-1) into f_q * f_n
-    needs Hensel steps, one modulus doubling at a time.  The Bezout pair
-    of the seed comes from one extended Euclid on GF(2)[x] as ints, whose
-    gcd is also the coprimality check.
+    The unit factor x - 1 divides x^p - 1 exactly over the integers; f_q
+    and f_n are lifted one bit at a time by Graeffe root-squaring
+    (_graeffe_lift), one product per factor and bit.  The result is the
+    Hensel lift, the unique monic factorization over Z/2^m_target that
+    reduces to the seed.  Multiplying it back out is the check, and a
+    seed whose factors are not coprime mod 2 fails it.
     """
     p = seed.p
     Modulus(m_target)
     if m_target < seed.m:
         raise ShapeMismatch(f"cannot lift downward from 2^{seed.m} to 2^{m_target}")
-    g = _from_zpoly(seed.f_q.reduce_mod(1))
-    h = _from_zpoly(seed.f_n.reduce_mod(1))
-    gcd_gh, s, t = _xgcd_gf2(_gf2_int(g), _gf2_int(h))
-    if gcd_gh != 1:
-        raise NotCoprime(f"seed factors share gcd {_gf2_list(gcd_gh)} mod 2")
-    s, t = _gf2_list(s), _gf2_list(t)
-    cofactor = [1] * p
-    m_cur = 1
-    while m_cur < m_target:
-        m_cur = min(2 * m_cur, m_target)
-        mod = 1 << m_cur
-        g, h, s, t = _hensel_step(cofactor, g, h, s, t, mod)
-    mod = 1 << m_target
+    f_q, f_n = (
+        _to_zpoly(_graeffe_lift(_from_zpoly(f.reduce_mod(1)), m_target), p, m_target)
+        for f in (seed.f_q, seed.f_n)
+    )
     fs = FactorSet(
         p=p,
         m=m_target,
-        f_unit=_to_zpoly([(-1) % mod, 1], p, m_target),
-        f_q=_to_zpoly(g, p, m_target),
-        f_n=_to_zpoly(h, p, m_target),
+        f_unit=_to_zpoly([(1 << m_target) - 1, 1], p, m_target),
+        f_q=f_q,
+        f_n=f_n,
     )
     if not fs.verify_product():
         raise NotCoprime("lifted factor product check failed")

@@ -253,6 +253,31 @@ def test_bad_m_is_rejected_before_work_on_p(command, extra, m):
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ("partition", "2305843009213693951"),
+        ("partition", "1000000007"),
+        ("lift", "2305843009213693951", "3"),
+        ("lift", "1000000007", "3"),
+    ],
+)
+def test_p_above_max_p_exits_2_at_once(argv):
+    # past the bound, trial division of 2^61 - 1 runs for minutes and the
+    # partition at 10^9 + 7 needs gigabytes, so the refusal must come first
+    src = str(Path(qr2m.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qr2m", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "MAX_P" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
     [("padic", "7", "40"), ("family", "7", "62"), ("idempotents", "199", "62")],
 )
 def test_large_m_commands_finish(capsys, argv):

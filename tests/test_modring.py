@@ -1,8 +1,10 @@
 import pytest
 
-from qr2m.errors import BadResidueClass, NotPrime, NoValidK, OutOfFamilyRange
+import qr2m.modring as modring
+from qr2m.errors import BadResidueClass, NotPrime, NoValidK, OutOfFamilyRange, PrimeTooLarge
 from qr2m.modring import (
     MAX_M,
+    MAX_P,
     Modulus,
     count_zero_sums,
     family_params,
@@ -140,6 +142,23 @@ def test_family_params_errors():
         family_params(13, 4)
     with pytest.raises(NoValidK):
         family_params(7, 3)
+
+
+def test_p_above_max_p_is_refused_before_trial_division(monkeypatch):
+    def refuse(p):
+        raise AssertionError(f"trial division of {p}")
+
+    monkeypatch.setattr(modring, "is_odd_prime", refuse)
+    for p in (MAX_P + 1, 1000000007, (1 << 61) - 1):
+        with pytest.raises(PrimeTooLarge, match="MAX_P"):
+            quad_partition(p)
+        with pytest.raises(PrimeTooLarge, match="MAX_P"):
+            family_params(p, 5)
+
+
+def test_largest_family_prime_below_max_p_is_accepted():
+    p = MAX_P - 17  # 1048559, prime and 7 mod 8
+    assert family_params(p, 5) == modring.FamilyParams(p=p, m=5, k=2, sign=1)
 
 
 FAMILY_PRIMES = [p for p in range(3, 200) if is_odd_prime(p) and p % 8 in (1, 7)]

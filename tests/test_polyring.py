@@ -1,4 +1,5 @@
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import qr2m.polyring as polyring
 from qr2m.errors import NotAUnit, ShapeMismatch
 from qr2m.lincode import _lane_width, code_from_polynomial
+from qr2m.modring import is_odd_prime
 from qr2m.polyring import (
     ZPoly,
     _byte_lanes,
@@ -16,11 +18,9 @@ from qr2m.polyring import (
     _gf2_int,
     _gf2_list,
     _gf2_mul,
-    _hensel_step,
     _mul_raw,
     _ones,
     _pack,
-    _reversed_inverse,
     _trim,
     _unpack,
     _xgcd_gf2,
@@ -184,11 +184,7 @@ def test_newton_division_matches_schoolbook(m, deg_a, deg_b, data):
     odd = st.integers(min_value=0, max_value=mod // 2 - 1).map(lambda c: 2 * c + 1)
     lead = data.draw(odd.filter(lambda c: c != 1) if m > 1 else odd)
     b = data.draw(st.lists(coeff, min_size=deg_b, max_size=deg_b)) + [lead]
-    expected = schoolbook_divmod(a, b, mod)
-    assert _divmod_raw(a, b, mod) == expected
-    # a shared inverse of higher precision gives the same quotient
-    inv = _reversed_inverse(b, max(1, len(a) - len(b) + 1) + 7, mod)
-    assert _divmod_raw(a, b, mod, inv) == expected
+    assert _divmod_raw(a, b, mod) == schoolbook_divmod(a, b, mod)
 
 
 def test_newton_division_edge_cases():
@@ -205,8 +201,6 @@ def test_newton_division_edge_cases():
         _divmod_raw([1, 1, 1], [1, 2], 8)
     with pytest.raises(ValueError, match="not invertible"):
         _divmod_raw([1, 1, 1], [1, 8], 8)
-    with pytest.raises(ValueError, match="precision"):
-        _divmod_raw([1] * 10, [1, 1], 8, [1, 7, 1])
 
 
 def _gf2_list_mul(a, b):
@@ -252,24 +246,80 @@ def test_gf2_divmod_by_zero():
         _gf2_divmod(0b101, 0)
 
 
-def test_hensel_step_computes_one_inverse_per_divisor(monkeypatch):
+def _add(a, b, mod):
+    return _trim([(x + y) % mod for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _sub(a, b, mod):
+    return _trim([(x - y) % mod for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def modulus_doubling_lift(seed, m):
+    """(f_q, f_n) lifted to 2^m by modulus-doubling Hensel steps: the oracle.
+
+    Each step carries f = g*h and the Bezout identity s*g + t*h = 1, from
+    one extended Euclid mod 2, to the doubled modulus, with long division
+    by the monic factors.
+    """
+    g = _trim(list(seed.f_q.reduce_mod(1).coeffs))
+    h = _trim(list(seed.f_n.reduce_mod(1).coeffs))
+    one, s, t = _xgcd_gf2(_gf2_int(g), _gf2_int(h))
+    assert one == 1
+    s, t = _gf2_list(s), _gf2_list(t)
+    f = [1] * seed.p
+    k = 1
+    while k < m:
+        k = min(2 * k, m)
+        mod = 1 << k
+        e = _sub(f, _mul_raw(g, h, mod), mod)
+        r = schoolbook_divmod(_mul_raw(s, e, mod), h, mod)[1]
+        dg, rem = schoolbook_divmod(_sub(e, _mul_raw(g, r, mod), mod), h, mod)
+        assert rem == []
+        g, h = _add(g, dg, mod), _add(h, r, mod)
+        b = _sub(_add(_mul_raw(s, g, mod), _mul_raw(t, h, mod), mod), [1], mod)
+        s = _sub(s, schoolbook_divmod(_mul_raw(s, b, mod), h, mod)[1], mod)
+        t, rem = schoolbook_divmod(_sub([1], _mul_raw(s, g, mod), mod), h, mod)
+        assert rem == []
+    return g, h
+
+
+def test_graeffe_lift_matches_hensel_steps():
+    points = [
+        (p, m)
+        for p in range(3, 200)
+        if is_odd_prime(p) and p % 8 in (1, 7)
+        for m in range(1, 9)
+    ]
+    points += [(p, 62) for p in (7, 17, 23)]
+    for p, m in points:
+        seed = binary_qr_factors(p)
+        lifted = hensel_lift_factors(seed, m)
+        got = (_trim(list(lifted.f_q.coeffs)), _trim(list(lifted.f_n.coeffs)))
+        assert got == modulus_doubling_lift(seed, m), (p, m)
+
+
+def test_graeffe_lift_takes_one_product_per_factor_and_bit(monkeypatch):
     seed = binary_qr_factors(23)
-    g = list(seed.f_q.coeffs[:12])
-    h = list(seed.f_n.coeffs[:12])
-    _, s, t = _xgcd_gf2(_gf2_int(g), _gf2_int(h))
-    divisors = []
+    moduli = []
 
-    def spy(b, k, mod):
-        divisors.append(list(b))
-        return _reversed_inverse(b, k, mod)
+    def spy(a, b, mod):
+        moduli.append(mod)
+        return _mul_raw(a, b, mod)
 
-    monkeypatch.setattr(polyring, "_reversed_inverse", spy)
-    _, h1, _, _ = _hensel_step([1] * 23, g, h, _gf2_list(s), _gf2_list(t), 4)
-    assert divisors == [h, h1]
-    assert hensel_lift_factors(seed, 2).f_n.coeffs[:12] == tuple(h1)
-    divisors.clear()
-    hensel_lift_factors(seed, 8)  # steps to 2^2, 2^4, 2^8
-    assert len(divisors) == 6
+    def refuse(*args):
+        raise AssertionError("the lift divided or took a Bezout pair")
+
+    monkeypatch.setattr(polyring, "_mul_raw", spy)
+    monkeypatch.setattr(polyring, "_divmod_raw", refuse)
+    monkeypatch.setattr(polyring, "_reversed_inverse", refuse)
+    monkeypatch.setattr(polyring, "_xgcd_gf2", refuse)
+    lifted = hensel_lift_factors(seed, 8)
+    in_lift = list(moduli)
+    moduli.clear()
+    assert lifted.verify_product()
+    assert moduli == [256, 256]
+    # f_q then f_n, one product at each modulus 2^2..2^8, then the check
+    assert in_lift == [1 << k for k in range(2, 9)] * 2 + moduli
 
 
 def test_ring_mul_commutes_and_distributes():

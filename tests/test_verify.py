@@ -21,6 +21,9 @@ WIDE_GRID_SHA256 = "795637c71dce4517b8c19146bbd96d4efebac1e4ce042f8b96d08190d495
 # the same for the primes p < 400 and p < 1000
 P400_GRID_SHA256 = "3487179babc71ee3a9f030ea28f89a7af8b0b457e474f11a74247433e52f036b"
 P1000_GRID_SHA256 = "4c155a4021c2070ecc38f3c5df9ca64af201e14c15dffa1e44476fbf9dbaed29"
+# the same for the primes 1000 < p < 2000, frozen before the lift became
+# Graeffe root-squaring; that report has summary.failed == 0
+P1000_2000_GRID_SHA256 = "fa542b2f23b9cfd56194c8150aab2a40afedf8f4fd1493fdf46580ec57a63ffc"
 
 
 def desk_report():
@@ -325,8 +328,8 @@ def test_the_sweep_builds_no_code(monkeypatch):
     assert len([c for c in report["checks"] if c["name"] == "family_case"]) == 3
 
 
-def _grid_report_digest(bound: int) -> tuple[int, str]:
-    primes = [p for p in range(3, bound) if is_odd_prime(p) and p % 8 in (1, 7)]
+def _grid_report_digest(bound: int, lower: int = 3) -> tuple[int, str]:
+    primes = [p for p in range(lower, bound) if is_odd_prime(p) and p % 8 in (1, 7)]
     report = run_verification(primes, range(4, 9))
     text = json.dumps(report, sort_keys=True)
     return len(primes), hashlib.sha256(text.encode()).hexdigest()
@@ -347,3 +350,10 @@ def test_p400_grid_report_is_frozen():
 def test_p1000_grid_report_is_frozen():
     # 80 primes at m = 4..8, 400 points; about 20 s, so CI runs it by name
     assert _grid_report_digest(1000) == (80, P1000_GRID_SHA256)
+
+
+@pytest.mark.slow
+def test_p1000_2000_grid_report_is_frozen():
+    # 66 primes at m = 4..8, 330 points, each constructible one with a
+    # lifted factorization of length p; about 10 s, so CI runs it by name
+    assert _grid_report_digest(2000, 1000) == (66, P1000_2000_GRID_SHA256)
