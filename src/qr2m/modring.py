@@ -53,7 +53,7 @@ class Modulus:
 def _require_odd_prime(p: int) -> None:
     """Raise PrimeTooLarge above MAX_P, before any trial division, or NotPrime."""
     if isinstance(p, int) and p > MAX_P:
-        raise PrimeTooLarge(f"p = {p} exceeds the bound MAX_P = 2^20")
+        raise PrimeTooLarge(f"p = {p} exceeds the bound MAX_P = {MAX_P}")
     if not is_odd_prime(p):
         raise NotPrime(f"{p} is not an odd prime")
 
