@@ -4,10 +4,11 @@ Everything here lives in the span of 1, e1, e2 inside R_p, where e1 is
 supported on the quadratic residues mod p and e2 on the nonresidues.
 The span is closed under multiplication, carries exactly eight
 idempotents, and the four with distinct e1/e2 coefficients generate the
-quadratic residue codes.  Two independent routes compute the same
-facts: exact cyclic convolution of support vectors, and closed-form
-coefficient systems in k where p = 8k -/+ 1.  Neither route trusts the
-other; the test suite compares them.
+quadratic residue codes.  Independent routes compute the same facts:
+exact cyclic convolution of support vectors, closed-form coefficient
+systems in k where p = 8k -/+ 1, and the values of a span element on the
+blocks u, q, n of R_p, read off the Gauss periods.  None of them trusts
+the others; the verifier and the test suite compare them.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from .polyring import (
     ZPoly,
     _from_zpoly,
     _mul_raw,
-    _to_zpoly,
     binary_qr_factors,
     hensel_lift_factors,
-    is_idempotent,
     ring_mul,
 )
 
@@ -265,14 +264,13 @@ def span_idempotents(p: int, m: int) -> tuple[tuple[int, int, int], ...]:
 
     Digit lifting at every m: an idempotent mod 2^(j+1) reduces to one
     mod 2^j, and all eight digit extensions of each are tried, so the
-    lift is complete.  Each survivor is re-verified by literal
-    convolution before being returned.
+    lift is complete.  Each survivor is re-verified on the blocks, where
+    an idempotent is 0 or 1, before being returned.
     """
     Modulus(m)
     triples = _lift_span(p, m)
-    for a, b, c in triples:
-        if not is_idempotent(assemble_basis(p, m, a, b, c)):
-            raise AssertionError("digit lifting produced a non-idempotent triple")
+    if any(_triple_blocks(p, m, t) is None for t in triples):
+        raise AssertionError("digit lifting produced a non-idempotent triple")
     return tuple(sorted(triples))
 
 
@@ -284,7 +282,7 @@ class IdempotentCoeffs:
     (scalar multiples of h plus constants) generate no residue/nonresidue
     asymmetry and are excluded here.  Idempotency is validated at
     construction by membership in span_idempotents, whose members are
-    complete (digit lifting) and each checked by convolution there.
+    complete (digit lifting) and each checked on the blocks there.
     """
 
     p: int
@@ -361,7 +359,7 @@ def shift_by_h(e: ZPoly, direction: int, params: FamilyParams) -> ZPoly:
         )
     _, _, h = basis_vectors(params.p, params.m)
     out = e + h.scale(direction * mult)
-    if not is_idempotent(out):
+    if block_set(out) is None:
         raise AssertionError("h-shift left the idempotent locus")
     return out
 
@@ -383,39 +381,46 @@ BLOCKS = ("u", "q", "n")
 
 
 @lru_cache(maxsize=None)
-def block_cofactors(p: int, m: int) -> tuple[ZPoly, ZPoly, ZPoly]:
-    """For each block b in BLOCKS, cof_b: the product of the other two lifted factors.
+def gauss_periods(p: int, m: int) -> tuple[int, int]:
+    """(eta_q, eta_n): the values of e1 on the blocks q and n, mod 2^m.
 
-    The lifted factors x - 1, f_q, f_n of x^p - 1 are monic and pairwise
-    coprime, so R_p is the product of the blocks R/(f_b), and cof_b is 0
-    on every block but b, where it is a unit.
+    They are the Gauss periods, the roots of x^2 + x + (1 - p*)/4 with
+    p* = +-p = 1 mod 4, whose constant term is even.  eta_q is the even
+    root, lifted one bit at a time (the derivative 2x + 1 is odd, so bit j
+    of the quadratic at a root mod 2^j is the next bit of the root), and
+    eta_n = -1 - eta_q.  e2 takes the swapped values; both are (p - 1)/2 on u.
     """
-    lifted = lifted_factors(p, m)
-    mod = 1 << m
-    factors = [_from_zpoly(f) for f in (lifted.f_unit, lifted.f_q, lifted.f_n)]
-    cofactors = []
-    for i in range(len(factors)):
-        a, b = factors[:i] + factors[i + 1:]
-        cofactors.append(_to_zpoly(_mul_raw(a, b, mod), p, m))
-    return tuple(cofactors)
+    quad_partition(p)
+    mod = Modulus(m).value
+    const = (1 - p) // 4 if p % 4 == 1 else (1 + p) // 4
+    eta = 0
+    for j in range(1, m):
+        eta |= (eta * eta + eta + const) & (1 << j)
+    return eta, (-1 - eta) % mod
+
+
+def _triple_blocks(p: int, m: int, trip: tuple[int, int, int]) -> frozenset[str] | None:
+    """The blocks on which alpha + beta*e1 + gamma*e2 is 1; None if a value is not 0 or 1."""
+    a, b, c = trip
+    eta_q, eta_n = gauss_periods(p, m)
+    values = (a + (b + c) * (p - 1) // 2, a + b * eta_q + c * eta_n, a + b * eta_n + c * eta_q)
+    values = [v % (1 << m) for v in values]
+    if max(values) > 1:
+        return None
+    return frozenset(blk for blk, v in zip(BLOCKS, values) if v)
 
 
 def block_set(e: ZPoly) -> frozenset[str] | None:
     """The blocks on which e is 1, or None if e is not 0 or 1 on every block.
 
-    e is 1 on block b exactly when e*cof_b = cof_b, and 0 there exactly
-    when e*cof_b = 0.  A span idempotent is 0 or 1 on each block, and its
-    ideal is the product of the blocks in its set: log2 of its size is m
-    times the sum of their degrees, 1 for u and (p - 1)/2 for q and n.
+    e is decomposed in the span of 1, e1, e2 (None if it leaves the span)
+    and its block values read off the Gauss periods.  A span idempotent is
+    0 or 1 on each block, and its ideal is the product of the blocks in its
+    set: log2 of its size is m times the sum of their degrees, 1 for u and
+    (p - 1)/2 for q and n.
     """
-    blocks = set()
-    for b, cof in zip(BLOCKS, block_cofactors(e.n, e.m)):
-        prod = ring_mul(e, cof)
-        if prod == cof:
-            blocks.add(b)
-        elif not prod.is_zero():
-            return None
-    return frozenset(blocks)
+    trip = decompose_basis(e)
+    return None if trip is None else _triple_blocks(e.n, e.m, trip)
 
 
 def _ideal_code(e: ZPoly) -> LinearCode:
@@ -511,7 +516,7 @@ def build_family(p: int, m: int) -> QrFamily:
     ideal is comparable (as a set) with the lifted residue-factor ideal,
     taking the lexicographically smallest triple if several qualify.  The
     ideal of e lies in the lift ideal L = (f_q) exactly when e is 0 on the
-    block q (e*cof_q = 0), and contains L exactly when e*f_q = f_q.  No
+    block q, and contains L exactly when e is 1 on the blocks u and n.  No
     code is built here: the family's codes are built on first access.
     """
     params = family_params(p, m)
@@ -544,14 +549,9 @@ def build_family(p: int, m: int) -> QrFamily:
         raise AmbiguousCase(f"sub-cases {[t for t, _ in viable]} both satisfiable")
     tag, bare_class = viable[0]
     candidates = [s for s in sols if s.conjugate_sum == bare_class]
-    f_q = lifted_factors(p, m).f_q
-    cof_q = block_cofactors(p, m)[BLOCKS.index("q")]
-    chosen = None
-    for cand in candidates:
-        e = cand.as_poly()
-        if ring_mul(e, cof_q).is_zero() or ring_mul(e, f_q) == f_q:
-            chosen = cand
-            break
+    blocks = [_triple_blocks(p, m, cand.triple) for cand in candidates]
+    comparable = (c for c, s in zip(candidates, blocks) if "q" not in s or {"u", "n"} <= s)
+    chosen = next(comparable, None)
     if chosen is None:
         raise AssertionError(
             "no candidate ideal is comparable with the lifted residue factor ideal"

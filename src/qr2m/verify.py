@@ -18,7 +18,6 @@ from .polyring import ZPoly, idempotent_from_generator, mu_map, ring_mul
 from .qr import (
     BLOCKS,
     basis_vectors,
-    block_cofactors,
     block_set,
     build_family,
     coefficient_system_holds,
@@ -434,9 +433,10 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
                 "self_orthogonal": self_orth,
             },
         )
-    # (e) = (f_q) exactly when e*f_q = f_q and e is 0 on the block q
-    f_q = lifted_factors(p, m).f_q
-    cof_q = block_cofactors(p, m)[BLOCKS.index("q")]
+    # (e) = (f_q) exactly when e*f_q = f_q and e is 0 on the block q (e*cof_q = 0)
+    lifted = lifted_factors(p, m)
+    f_q = lifted.f_q
+    cof_q = ring_mul(lifted.f_unit, lifted.f_n)
     e_big_q = idem[big_q]
     rep.row(
         "lift_identification",

@@ -276,6 +276,36 @@ def test_p_above_max_p_exits_2_at_once(argv):
     assert "Traceback" not in proc.stderr
 
 
+BOUNDARY_P = ("2", "9", "2305843009213693951")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("partition", p) for p in BOUNDARY_P]
+    + [
+        (command, p, m, *extra)
+        for command, extra in [
+            ("identities", ()),
+            ("idempotents", ()),
+            ("family", ()),
+            ("weight", ("--code", "lift")),
+            ("padic", ()),
+            ("lift", ()),
+        ]
+        for p in BOUNDARY_P
+        for m in ("0", "3", "63")
+    ],
+    ids="-".join,
+)
+def test_boundary_p_and_m_exit_2(capsys, argv):
+    # 2 is even, 9 composite and 2^61 - 1 above MAX_P; m = 0 and 63 are
+    # out of range, and m = 3 is valid
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [("padic", "7", "40"), ("family", "7", "62"), ("idempotents", "199", "62")],

@@ -26,6 +26,7 @@ from qr2m.polyring import (
     ZPoly,
     _from_zpoly,
     _mul_raw,
+    _to_zpoly,
     binary_qr_factors,
     hensel_lift_factors,
     is_idempotent,
@@ -39,11 +40,11 @@ from qr2m.qr import (
     _scan_span,
     assemble_basis,
     basis_vectors,
-    block_cofactors,
     block_set,
     build_family,
     coefficient_system_holds,
     decompose_basis,
+    gauss_periods,
     lifted_factors,
     lifted_residue_code,
     product_identities_report,
@@ -308,6 +309,39 @@ def test_family_codes_are_built_on_first_access():
     assert vars(fam)["q"] is fam.q
 
 
+def block_cofactors(p, m):
+    """For each block b in BLOCKS, cof_b: the product of the other two lifted factors.
+
+    The lifted factors x - 1, f_q, f_n of x^p - 1 are monic and pairwise
+    coprime, so R_p is the product of the blocks R/(f_b), and cof_b is 0
+    on every block but b, where it is a unit.
+    """
+    lifted = lifted_factors(p, m)
+    mod = 1 << m
+    factors = [_from_zpoly(f) for f in (lifted.f_unit, lifted.f_q, lifted.f_n)]
+    cofactors = []
+    for i in range(len(factors)):
+        a, b = factors[:i] + factors[i + 1:]
+        cofactors.append(_to_zpoly(_mul_raw(a, b, mod), p, m))
+    return tuple(cofactors)
+
+
+def cofactor_block_set(e, cofactors):
+    """The blocks on which e is 1 by convolution with the cofactors (the oracle).
+
+    e is 1 on block b exactly when e*cof_b = cof_b, and 0 there exactly
+    when e*cof_b = 0; None if neither holds on some block.
+    """
+    blocks = set()
+    for b, cof in zip(BLOCKS, cofactors):
+        prod = ring_mul(e, cof)
+        if prod == cof:
+            blocks.add(b)
+        elif not prod.is_zero():
+            return None
+    return frozenset(blocks)
+
+
 BLOCK_POINTS = [(7, 1), (7, 3), (7, 4), (17, 4), (17, 5), (23, 6), (31, 5), (41, 2)]
 
 
@@ -317,8 +351,37 @@ def test_block_cofactors_split_the_ring(p, m):
     assert len(cofactors) == len(BLOCKS)
     for a, b in itertools.combinations(cofactors, 2):
         assert ring_mul(a, b).is_zero()
-    assert block_set(ZPoly.one(p, m)) == set(BLOCKS)
-    assert block_set(ZPoly.zero(p, m)) == set()
+    for e, want in ((ZPoly.one(p, m), set(BLOCKS)), (ZPoly.zero(p, m), set())):
+        assert cofactor_block_set(e, cofactors) == want
+        assert block_set(e) == want
+
+
+def test_block_sets_match_the_cofactor_route():
+    # the Gauss-period block values of every span idempotent, against
+    # convolution with the lifted cofactors
+    grid = [p for p in range(3, 400) if is_odd_prime(p) and p % 8 in (1, 7)]
+    assert len(grid) == 35
+    count = 0
+    for p in grid:
+        for m in range(1, 9):
+            cofactors = block_cofactors(p, m)
+            for triple in span_idempotents(p, m):
+                e = assemble_basis(p, m, *triple)
+                assert block_set(e) == cofactor_block_set(e, cofactors), (p, m, triple)
+                count += 1
+    assert count == 2240
+
+
+@pytest.mark.parametrize("m", [1, 8, 62])
+def test_gauss_periods_solve_their_quadratic(m):
+    mod = 1 << m
+    for p in (p for p in range(3, 200) if is_odd_prime(p) and p % 8 in (1, 7)):
+        eta_q, eta_n = gauss_periods(p, m)
+        p_star = p if p % 4 == 1 else -p
+        assert eta_q % 2 == 0, p
+        assert 0 <= eta_q < mod and (eta_q + eta_n + 1) % mod == 0, p
+        for eta in (eta_q, eta_n):
+            assert (4 * (eta * eta + eta) + 1 - p_star) % (4 * mod) == 0, (p, eta)
 
 
 @pytest.mark.parametrize("p,m", BLOCK_POINTS)

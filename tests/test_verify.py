@@ -24,6 +24,9 @@ P1000_GRID_SHA256 = "4c155a4021c2070ecc38f3c5df9ca64af201e14c15dffa1e44476fbf9db
 # the same for the primes 1000 < p < 2000, frozen before the lift became
 # Graeffe root-squaring; that report has summary.failed == 0
 P1000_2000_GRID_SHA256 = "fa542b2f23b9cfd56194c8150aab2a40afedf8f4fd1493fdf46580ec57a63ffc"
+# the same for the primes 2000 < p < 4000, frozen before block sets were
+# read off Gauss periods; that report has summary.failed == 0
+P2000_4000_GRID_SHA256 = "f401b198cb1daaef5cafc8a95348a9503f3206d927afa5e29a86218c09883790"
 
 
 def desk_report():
@@ -123,10 +126,14 @@ def test_widest_family_point_passes():
     assert [c["status"] for c in family] == ["pass"]
 
 
-def test_nonfamily_point_convolves_each_product_once(monkeypatch):
-    # three basis products, h*h and one idempotence check per span
-    # idempotent (eight); the four nondegenerate triples reuse those checks
-    for cached in (qr._span_products, qr.span_idempotents, qr.solve_idempotent_system):
+def _ring_mul_calls(monkeypatch, p, m) -> tuple[dict, list]:
+    """Verify (p, m) from cold caches, recording the shape of each ring_mul."""
+    for cached in (
+        qr._span_products,
+        qr.span_idempotents,
+        qr.solve_idempotent_system,
+        qr.lifted_factors,
+    ):
         cached.cache_clear()
     calls = []
     ring_mul = polyring.ring_mul
@@ -137,10 +144,27 @@ def test_nonfamily_point_convolves_each_product_once(monkeypatch):
 
     for module in (polyring, qr, verify):
         monkeypatch.setattr(module, "ring_mul", spy)
-    report = run_verification([41], [6])
+    report = run_verification([p], [m])
     assert report["summary"]["failed"] == 0
+    return report, calls
+
+
+def test_nonfamily_point_convolves_each_product_once(monkeypatch):
+    # three basis products and h*h; span idempotents are checked on the
+    # blocks, with no convolution
+    report, calls = _ring_mul_calls(monkeypatch, 41, 6)
     assert [c["status"] for c in report["checks"] if c["name"] == "family_construction"] == ["skip"]
-    assert calls == [(41, 6)] * 12
+    assert calls == [(41, 6)] * 4
+
+
+def test_family_point_convolves_only_route_b_and_the_lift(monkeypatch):
+    # block sets and the candidate choice are read off Gauss periods; what
+    # is left is the four basis products, the idempotent algebra of the
+    # family rows and the lift_identification products
+    report, calls = _ring_mul_calls(monkeypatch, 127, 8)
+    assert [c["status"] for c in report["checks"] if c["name"] == "family_case"] == ["pass"]
+    assert set(calls) == {(127, 8)}
+    assert len(calls) <= 21
 
 
 def test_constructible_grid_points_verify_cleanly(constructible_points):
@@ -357,3 +381,9 @@ def test_p1000_2000_grid_report_is_frozen():
     # 66 primes at m = 4..8, 330 points, each constructible one with a
     # lifted factorization of length p; about 10 s, so CI runs it by name
     assert _grid_report_digest(2000, 1000) == (66, P1000_2000_GRID_SHA256)
+
+
+@pytest.mark.slow
+def test_p2000_4000_grid_report_is_frozen():
+    # 122 primes at m = 4..8, 610 points; about 25 s, so CI runs it by name
+    assert _grid_report_digest(4000, 2000) == (122, P2000_4000_GRID_SHA256)
