@@ -159,8 +159,8 @@ def test_nonfamily_point_convolves_each_product_once(monkeypatch):
 
 def test_family_point_convolves_only_route_b_and_the_lift(monkeypatch):
     # block sets and the candidate choice are read off Gauss periods; what
-    # is left is the four basis products, the idempotent algebra of the
-    # family rows and the lift_identification products
+    # is left is the four basis products, the idempotent algebra of route
+    # B, and the lift_identification and lift_idempotent products
     report, calls = _ring_mul_calls(monkeypatch, 127, 8)
     assert [c["status"] for c in report["checks"] if c["name"] == "family_case"] == ["pass"]
     assert set(calls) == {(127, 8)}
