@@ -14,11 +14,12 @@ helpers needed to factor x^p - 1 over GF(2) and to lift that
 factorization to 2^m.  The lift is Graeffe root-squaring: a factor F of
 x^p - 1 whose roots are closed under squaring has F(x^2) = +-F(x) F(-x),
 so each bit of the modulus is one packed product per factor, with no
-division.  Division over Z/2^m, which idempotent_from_generator needs,
-goes through a Newton inverse of the reversed divisor, so it too is a few
-packed products.  GF(2)[x] polynomials are ints, bit i the coefficient of
-x^i, so the gcds and Bezout pairs behind the factorization are shifts and
-XORs.
+division.  Division over Z/2^m, which idempotent_from_generator uses to
+find the cofactor of a generator, goes through a Newton inverse of the
+reversed divisor, so it too is a few packed products; the idempotent is
+then one cyclic product, read off the derivative of f * cofactor =
+x^n - 1.  GF(2)[x] polynomials are ints, bit i the coefficient of x^i, so
+the gcds behind the binary factorization are shifts and XORs.
 """
 
 from __future__ import annotations
@@ -309,26 +310,9 @@ def _from_zpoly(f: ZPoly) -> list[int]:
 # ----------------------------------------------------------------------
 # GF(2)[x] as ints: bit i is the coefficient of x^i, so addition is XOR.
 
-def _gf2_int(a: Sequence[int]) -> int:
-    """The GF(2) polynomial of a coefficient sequence, each taken mod 2."""
-    return int("".join(str(c & 1) for c in reversed(a)) or "0", 2)
-
-
 def _gf2_list(a: int) -> list[int]:
     """Coefficient list of a GF(2) polynomial, constant first, trimmed."""
     return [int(c) for c in reversed(bin(a)[2:])] if a else []
-
-
-def _gf2_mul(a: int, b: int) -> int:
-    """Carry-less product: b shifted by each set bit of a, XORed together."""
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    out = 0
-    while a:
-        low = a & -a
-        out ^= b << (low.bit_length() - 1)
-        a ^= low
-    return out
 
 
 def _gf2_divmod(a: int, b: int) -> tuple[int, int]:
@@ -347,17 +331,6 @@ def _gcd_gf2(a: int, b: int) -> int:
     while b:
         a, b = b, _gf2_divmod(a, b)[1]
     return a
-
-
-def _xgcd_gf2(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) over GF(2) with s*a + t*b = g = gcd(a, b)."""
-    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
-    while r1:
-        q, r = _gf2_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ _gf2_mul(q, s1)
-        t0, t1 = t1, t0 ^ _gf2_mul(q, t1)
-    return r0, s0, t0
 
 
 # ----------------------------------------------------------------------
@@ -491,13 +464,18 @@ def hensel_lift_factors(seed: FactorSet, m_target: int) -> FactorSet:
 def idempotent_from_generator(f: ZPoly) -> ZPoly:
     """The unique idempotent generating the same ideal as f.
 
-    Requires f to divide x^n - 1 over Z_{2^m} with cofactor coprime to f
-    modulo 2.  The mod-2 idempotent comes from the Bezout identity of the
-    factor pair, on GF(2)[x] as ints; Newton iteration e <- 3e^2 - 2e^3
-    lifts it, doubling the modulus of validity each step.
+    Requires n odd and f to divide x^n - 1 over Z_{2^m}; f is first made
+    monic.  With f * c = x^n - 1, the derivative gives
+    x f' c + x f c' = n x^n, which is n in R_n.  So e = n^-1 x f c' and
+    1 - e = n^-1 x f' c, and e (1 - e) is a multiple of f c = 0: e is
+    idempotent.  e is a multiple of f, and f = f e because f (1 - e) is a
+    multiple of f c, so (e) = (f).  The idempotent is one product of f
+    with n^-1 x c' mod x^n - 1.  An even n has no inverse mod 2^m.
     """
     n, m = f.n, f.m
     mod = 1 << m
+    if n % 2 == 0:
+        raise NotCoprimeCofactor(f"ring length {n} is even, so it has no inverse mod 2^{m}")
     raw = _from_zpoly(f)
     if not raw:
         raise NotCoprimeCofactor("zero polynomial generates the zero ideal")
@@ -508,19 +486,9 @@ def idempotent_from_generator(f: ZPoly) -> ZPoly:
     cof, rem = _divmod_raw(_x_pow_minus_one(n, mod), monic, mod)
     if rem:
         raise NotCoprimeCofactor("generator does not divide x^n - 1")
-    monic2 = _gf2_int(monic)
-    gcd_fc, s, _ = _xgcd_gf2(monic2, _gf2_int(cof))
-    if gcd_fc != 1:
-        raise NotCoprimeCofactor("generator and cofactor share a factor mod 2")
-    # e = s * f is 0 mod f and 1 mod cofactor, hence the mod-2 idempotent
-    _, e_bits = _gf2_divmod(_gf2_mul(s, monic2), (1 << n) | 1)
-    e = _to_zpoly(_gf2_list(e_bits), n, m)
-    validity = 1
-    while validity < m:
-        e2 = ring_mul(e, e)
-        e3 = ring_mul(e2, e)
-        e = e2.scale(3) - e3.scale(2)
-        validity *= 2
-    if not is_idempotent(e):
-        raise AssertionError("idempotent lift failed to stabilize")
-    return e
+    # n^-1 x c'(x); only a constant f has a cofactor of degree n, folded to x^0
+    n_inv = pow(n, -1, mod)
+    xc_prime = [0] * n
+    for i, c in enumerate(cof):
+        xc_prime[i % n] += i * c * n_inv
+    return ring_mul(_to_zpoly(monic, n, m), ZPoly(n, m, tuple(xc_prime)))

@@ -357,11 +357,11 @@ def shift_by_h(e: ZPoly, direction: int, params: FamilyParams) -> ZPoly:
         raise PreconditionSignMismatch(
             f"conjugate sum {(trip[1] + trip[2]) % mod} is not {required} mod {mod}"
         )
-    _, _, h = basis_vectors(params.p, params.m)
-    out = e + h.scale(direction * mult)
-    if block_set(out) is None:
+    # h = 1 + e1 + e2, so the shift adds the same constant to each coordinate
+    shifted = tuple(t + direction * mult for t in trip)
+    if _triple_blocks(params.p, params.m, shifted) is None:
         raise AssertionError("h-shift left the idempotent locus")
-    return out
+    return assemble_basis(params.p, params.m, *shifted)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qr2m.polyring as polyring
-from qr2m.errors import NotAUnit, ShapeMismatch
+from qr2m.errors import NotAUnit, NotCoprimeCofactor, ShapeMismatch
 from qr2m.lincode import _lane_width, code_from_polynomial
 from qr2m.modring import is_odd_prime
 from qr2m.polyring import (
@@ -15,15 +15,12 @@ from qr2m.polyring import (
     _divmod_raw,
     _gcd_gf2,
     _gf2_divmod,
-    _gf2_int,
     _gf2_list,
-    _gf2_mul,
     _mul_raw,
     _ones,
     _pack,
     _trim,
     _unpack,
-    _xgcd_gf2,
     binary_qr_factors,
     cyclotomic_cosets,
     hensel_lift_factors,
@@ -203,6 +200,34 @@ def test_newton_division_edge_cases():
         _divmod_raw([1, 1, 1], [1, 8], 8)
 
 
+def _gf2_int(a):
+    """The GF(2) polynomial of a coefficient sequence, each taken mod 2."""
+    return int("".join(str(c & 1) for c in reversed(a)) or "0", 2)
+
+
+def _gf2_mul(a, b):
+    """Carry-less product: b shifted by each set bit of a, XORed together."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        out ^= b << (low.bit_length() - 1)
+        a ^= low
+    return out
+
+
+def _xgcd_gf2(a, b):
+    """Return (g, s, t) over GF(2) with s*a + t*b = g = gcd(a, b)."""
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q, r = _gf2_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 ^ _gf2_mul(q, s1)
+        t0, t1 = t1, t0 ^ _gf2_mul(q, t1)
+    return r0, s0, t0
+
+
 def _gf2_list_mul(a, b):
     out = [0] * max(0, len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -312,7 +337,6 @@ def test_graeffe_lift_takes_one_product_per_factor_and_bit(monkeypatch):
     monkeypatch.setattr(polyring, "_mul_raw", spy)
     monkeypatch.setattr(polyring, "_divmod_raw", refuse)
     monkeypatch.setattr(polyring, "_reversed_inverse", refuse)
-    monkeypatch.setattr(polyring, "_xgcd_gf2", refuse)
     lifted = hensel_lift_factors(seed, 8)
     in_lift = list(moduli)
     moduli.clear()
@@ -418,3 +442,117 @@ def test_is_idempotent():
     assert is_idempotent(ZPoly.one(7, 4))
     assert is_idempotent(ZPoly.zero(7, 4))
     assert not is_idempotent(ZPoly.x_power(1, 7, 4))
+
+
+def bezout_newton_idempotent(f):
+    """The idempotent of the ideal of f by a Bezout pair and a Newton lift: the oracle.
+
+    f is made monic and divided into x^n - 1.  The Bezout identity
+    s*f + t*c = 1 of f and its cofactor c, from one extended Euclid mod 2,
+    makes s*f the idempotent mod 2, and e <- 3e^2 - 2e^3 doubles the
+    modulus it holds at each step.
+    """
+    n, m = f.n, f.m
+    mod = 1 << m
+    raw = _trim(list(f.coeffs))
+    monic = [c * pow(raw[-1], -1, mod) % mod for c in raw]
+    cof, rem = _divmod_raw([mod - 1] + [0] * (n - 1) + [1], monic, mod)
+    assert rem == []
+    one, s, _ = _xgcd_gf2(_gf2_int(monic), _gf2_int(cof))
+    assert one == 1
+    e_bits = _gf2_divmod(_gf2_mul(s, _gf2_int(monic)), (1 << n) | 1)[1]
+    e = ZPoly(n, m, tuple(_gf2_list(e_bits)) + (0,) * (n - e_bits.bit_length()))
+    validity = 1
+    while validity < m:
+        e2 = ring_mul(e, e)
+        e = e2.scale(3) - ring_mul(e2, e).scale(2)
+        validity *= 2
+    assert is_idempotent(e)
+    return e
+
+
+def _lift_generators(p, m):
+    lifted = hensel_lift_factors(binary_qr_factors(p), m)
+    return (
+        lifted.f_unit,
+        lifted.f_q,
+        lifted.f_n,
+        ring_mul(lifted.f_unit, lifted.f_q),
+    )
+
+
+def _assert_routes_agree(points):
+    for p, m in points:
+        for f in _lift_generators(p, m):
+            assert idempotent_from_generator(f) == bezout_newton_idempotent(f), (p, m)
+
+
+def test_derivative_idempotent_matches_bezout_newton():
+    points = [
+        (p, m)
+        for p in range(3, 200)
+        if is_odd_prime(p) and p % 8 in (1, 7)
+        for m in range(1, 9)
+    ]
+    points += [(p, 62) for p in (7, 17, 23)]
+    _assert_routes_agree(points)
+    for m in list(range(1, 9)) + [62]:
+        for n in (9, 15, 21):
+            # x^d - 1 for each proper divisor d of n, then the constants
+            generators = [
+                ZPoly(n, m, (-1,) + (0,) * (d - 1) + (1,) + (0,) * (n - d - 1))
+                for d in range(1, n)
+                if n % d == 0
+            ]
+            generators += [ZPoly.constant(1, n, m), ZPoly.constant(3, n, m)]
+            for f in generators:
+                assert idempotent_from_generator(f) == bezout_newton_idempotent(f), (n, m, f)
+    for p, m in ((7, 4), (17, 62)):
+        assert idempotent_from_generator(ZPoly.constant(3, p, m)) == ZPoly.one(p, m)
+
+
+@pytest.mark.slow
+def test_derivative_idempotent_matches_bezout_newton_200_1000():
+    # 60 primes at four m, four generators each; the oracle's extended
+    # Euclid and Newton steps take about 35 s, so CI runs it by name
+    # (pytest -m slow)
+    _assert_routes_agree(
+        (p, m)
+        for p in range(200, 1000)
+        if is_odd_prime(p) and p % 8 in (1, 7)
+        for m in (1, 4, 8, 62)
+    )
+
+
+def test_idempotent_from_generator_takes_one_product(monkeypatch):
+    f = hensel_lift_factors(binary_qr_factors(127), 8).f_q
+    products, divisions = [], []
+
+    def spy_mul(a, b):
+        products.append((a.n, a.m))
+        return ring_mul(a, b)
+
+    def spy_divmod(a, b, mod):
+        divisions.append(mod)
+        return _divmod_raw(a, b, mod)
+
+    monkeypatch.setattr(polyring, "ring_mul", spy_mul)
+    monkeypatch.setattr(polyring, "_divmod_raw", spy_divmod)
+    e = idempotent_from_generator(f)
+    assert products == [(127, 8)] and divisions == [256]
+    assert is_idempotent(e)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        ZPoly.zero(7, 4),
+        ZPoly(7, 4, (1, 2, 0, 0, 0, 0, 0)),  # 2x + 1: even leading coefficient
+        ZPoly(7, 4, (1, 0, 1, 0, 0, 0, 0)),  # x^2 + 1 does not divide x^7 - 1
+        ZPoly(6, 4, (1, 1, 0, 0, 0, 0)),  # x + 1 at even n
+        ZPoly.one(6, 4),  # 1 at even n: n has no inverse mod 2^m
+    ],
+)
+def test_idempotent_from_generator_refuses(f):
+    with pytest.raises(NotCoprimeCofactor):
+        idempotent_from_generator(f)

@@ -164,7 +164,7 @@ def test_family_point_convolves_only_route_b_and_the_lift(monkeypatch):
     report, calls = _ring_mul_calls(monkeypatch, 127, 8)
     assert [c["status"] for c in report["checks"] if c["name"] == "family_case"] == ["pass"]
     assert set(calls) == {(127, 8)}
-    assert len(calls) <= 21
+    assert len(calls) <= 15
 
 
 def test_constructible_grid_points_verify_cleanly(constructible_points):
@@ -379,11 +379,11 @@ def test_p1000_grid_report_is_frozen():
 @pytest.mark.slow
 def test_p1000_2000_grid_report_is_frozen():
     # 66 primes at m = 4..8, 330 points, each constructible one with a
-    # lifted factorization of length p; about 10 s, so CI runs it by name
+    # lifted factorization of length p; about 5 s, so CI runs it by name
     assert _grid_report_digest(2000, 1000) == (66, P1000_2000_GRID_SHA256)
 
 
 @pytest.mark.slow
 def test_p2000_4000_grid_report_is_frozen():
-    # 122 primes at m = 4..8, 610 points; about 25 s, so CI runs it by name
+    # 122 primes at m = 4..8, 610 points; about 20 s, so CI runs it by name
     assert _grid_report_digest(4000, 2000) == (122, P2000_4000_GRID_SHA256)
