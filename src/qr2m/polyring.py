@@ -164,10 +164,6 @@ def ring_mul(a: ZPoly, b: ZPoly) -> ZPoly:
     return ZPoly(n, m, _unpack(prod + (prod >> (width * n)), n, width, (1 << m) - 1))
 
 
-def is_idempotent(f: ZPoly) -> bool:
-    return ring_mul(f, f) == f
-
-
 def mu_map(f: ZPoly, a: int) -> ZPoly:
     """Coordinate permutation i -> a*i mod n; a must be a unit mod n."""
     if gcd(a, f.n) != 1:

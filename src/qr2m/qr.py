@@ -43,8 +43,7 @@ def basis_vectors(p: int, m: int) -> tuple[ZPoly, ZPoly, ZPoly]:
     Modulus(m)
     e1 = ZPoly.from_support(part.q, p, m)
     e2 = ZPoly.from_support(part.n, p, m)
-    h = ZPoly.one(p, m) + e1 + e2
-    return e1, e2, h
+    return e1, e2, ZPoly(p, m, (1,) * p)
 
 
 def split_parameter(p: int) -> tuple[int, int]:
@@ -78,12 +77,16 @@ def assemble_basis(p: int, m: int, alpha: int, beta: int, gamma: int) -> ZPoly:
 
 
 @lru_cache(maxsize=None)
-def _span_products(p: int, m: int) -> tuple[tuple[int, int, int], ...]:
-    """Decompositions of e1*e1, e2*e2, e1*e2 computed by raw convolution."""
-    e1, e2, _ = basis_vectors(p, m)
+def _span_products(p: int) -> tuple[tuple[int, int, int], ...]:
+    """Integer span coordinates of e1*e1, e2*e2, e1*e2 and h*h, by raw convolution.
+
+    Each coefficient counts index pairs, so it is at most p < 2^bit_length(p),
+    and one convolution at that modulus is exact for every m.
+    """
+    e1, e2, h = basis_vectors(p, p.bit_length())
     out = []
-    for prod in (ring_mul(e1, e1), ring_mul(e2, e2), ring_mul(e1, e2)):
-        trip = decompose_basis(prod)
+    for a, b in ((e1, e1), (e2, e2), (e1, e2), (h, h)):
+        trip = decompose_basis(ring_mul(a, b))
         if trip is None:
             raise AssertionError("basis product left the span of 1, e1, e2")
         out.append(trip)
@@ -164,16 +167,14 @@ def product_identities_report(p: int, m: int) -> IdentityReport:
     """
     k, eps = split_parameter(p)
     mod = Modulus(m).value
-    _, _, h = basis_vectors(p, m)
-    computed = dict(zip(("e1_e1", "e2_e2", "e1_e2"), _span_products(p, m)))
-    hh = decompose_basis(ring_mul(h, h))
-    if hh is None:
-        raise AssertionError("h*h left the span of 1, e1, e2")
-    computed["h_h"] = hh
+    names = ("e1_e1", "e2_e2", "e1_e2", "h_h")
+    computed = {
+        name: tuple(c % mod for c in trip) for name, trip in zip(names, _span_products(p))
+    }
     expected = closed_form_products(p, m)
     checks = tuple(
         IdentityCheck(name, computed[name] == expected[name], computed[name], expected[name])
-        for name in ("e1_e1", "e2_e2", "e1_e2", "h_h")
+        for name in names
     )
     divergences = ()
     if eps > 0:
@@ -206,18 +207,19 @@ def coefficient_system_holds(p: int, m: int, alpha: int, beta: int, gamma: int) 
     return r0 % mod == 0 and r1 % mod == 0 and r2 % mod == 0
 
 
-def _square_coords(
-    trip: tuple[int, int, int],
-    prods: tuple[tuple[int, int, int], ...],
-    mod: int,
+def _span_mul(
+    p: int, s: tuple[int, int, int], t: tuple[int, int, int], mod: int
 ) -> tuple[int, int, int]:
-    """Span coordinates of (a + b*e1 + c*e2)^2 from precomputed products."""
-    a, b, c = trip
-    (a11, b11, c11), (a22, b22, c22), (a12, b12, c12) = prods
-    const = (a * a + b * b * a11 + c * c * a22 + 2 * b * c * a12) % mod
-    on_e1 = (b * b * b11 + c * c * b22 + 2 * a * b + 2 * b * c * b12) % mod
-    on_e2 = (b * b * c11 + c * c * c22 + 2 * a * c + 2 * b * c * c12) % mod
-    return const, on_e1, on_e2
+    """Span coordinates of (a + b*e1 + c*e2)(x + y*e1 + z*e2) mod `mod`."""
+    a, b, c = s
+    x, y, z = t
+    (a11, b11, c11), (a22, b22, c22), (a12, b12, c12), _ = _span_products(p)
+    bb, cc, bc = b * y, c * z, b * z + c * y
+    return (
+        (a * x + bb * a11 + cc * a22 + bc * a12) % mod,
+        (a * y + b * x + bb * b11 + cc * b22 + bc * b12) % mod,
+        (a * z + c * x + bb * c11 + cc * c22 + bc * c12) % mod,
+    )
 
 
 def _scan_span(p: int, m: int) -> list[tuple[int, int, int]]:
@@ -227,24 +229,18 @@ def _scan_span(p: int, m: int) -> list[tuple[int, int, int]]:
     that `span_idempotents` (digit lifting) is checked against.
     """
     mod = 1 << m
-    prods = _span_products(p, m)
     found = []
     for a in range(mod):
         for b in range(mod):
             for c in range(mod):
-                if _square_coords((a, b, c), prods, mod) == (a, b, c):
+                if _span_mul(p, (a, b, c), (a, b, c), mod) == (a, b, c):
                     found.append((a, b, c))
     return found
 
 
 def _lift_span(p: int, m: int) -> list[tuple[int, int, int]]:
     """All span idempotents by digit lifting, one modulus doubling at a time."""
-    prods = _span_products(p, m)
-    sols = [
-        t
-        for t in iter_product(range(2), repeat=3)
-        if _square_coords(t, prods, 2) == t
-    ]
+    sols = [t for t in iter_product(range(2), repeat=3) if _span_mul(p, t, t, 2) == t]
     for j in range(1, m):
         mod_next = 1 << (j + 1)
         step = 1 << j
@@ -252,7 +248,7 @@ def _lift_span(p: int, m: int) -> list[tuple[int, int, int]]:
         for a, b, c in sols:
             for ea, eb, ec in iter_product(range(2), repeat=3):
                 cand = (a + ea * step, b + eb * step, c + ec * step)
-                if _square_coords(cand, prods, mod_next) == cand:
+                if _span_mul(p, cand, cand, mod_next) == cand:
                     nxt.append(cand)
         sols = nxt
     return sols
@@ -399,8 +395,10 @@ def gauss_periods(p: int, m: int) -> tuple[int, int]:
     return eta, (-1 - eta) % mod
 
 
-def _triple_blocks(p: int, m: int, trip: tuple[int, int, int]) -> frozenset[str] | None:
+def _triple_blocks(p: int, m: int, trip: tuple[int, int, int] | None) -> frozenset[str] | None:
     """The blocks on which alpha + beta*e1 + gamma*e2 is 1; None if a value is not 0 or 1."""
+    if trip is None:  # an element outside the span has no block values
+        return None
     a, b, c = trip
     eta_q, eta_n = gauss_periods(p, m)
     values = (a + (b + c) * (p - 1) // 2, a + b * eta_q + c * eta_n, a + b * eta_n + c * eta_q)
@@ -419,8 +417,7 @@ def block_set(e: ZPoly) -> frozenset[str] | None:
     set: log2 of its size is m times the sum of their degrees, 1 for u and
     (p - 1)/2 for q and n.
     """
-    trip = decompose_basis(e)
-    return None if trip is None else _triple_blocks(e.n, e.m, trip)
+    return _triple_blocks(e.n, e.m, decompose_basis(e))
 
 
 def _ideal_code(e: ZPoly) -> LinearCode:
@@ -480,8 +477,8 @@ class QrFamily:
 
     def shift_generator(self) -> ZPoly:
         """The multiple of h that carries each code to its primed partner."""
-        _, _, h = basis_vectors(self.params.p, self.params.m)
-        return h.scale(self.shift_direction * self.params.h_multiplier)
+        c = self.shift_direction * self.params.h_multiplier
+        return assemble_basis(self.params.p, self.params.m, c, c, c)
 
     def as_dict(self) -> dict:
         return {

@@ -14,17 +14,16 @@ from __future__ import annotations
 from . import padic
 from .errors import NoCaseApplies, NoValidK, OutOfFamilyRange
 from .modring import count_zero_sums, family_params, quad_partition
-from .polyring import ZPoly, idempotent_from_generator, mu_map, ring_mul
+from .polyring import idempotent_from_generator, mu_map, ring_mul
 from .qr import (
     BLOCKS,
-    basis_vectors,
-    block_set,
+    _span_mul,
+    _triple_blocks,
     build_family,
     coefficient_system_holds,
     decompose_basis,
     lifted_factors,
     product_identities_report,
-    shift_by_h,
     solve_idempotent_system,
     span_idempotents,
     split_parameter,
@@ -187,9 +186,9 @@ def _check_idempotents(rep: _Report, p: int, m: int, params) -> None:
         shiftable = [s for s in sols if s.conjugate_sum in (mult, (-mult) % mod)]
         ok = True
         for s in shiftable:
+            # h = 1 + e1 + e2, so a shift by c*h adds c to each coordinate
             direction = -1 if s.conjugate_sum == mult else 1
-            image = decompose_basis(shift_by_h(s.as_poly(), direction, params))
-            ok = ok and image in span_set
+            ok = ok and tuple((t + direction * mult) % mod for t in s.triple) in span_set
         detail = f"{len(shiftable)} shiftable triples" if shiftable else "vacuous"
         rep.row("shift_closure", p, m, ok, detail)
 
@@ -255,7 +254,9 @@ def _same(a, b) -> bool:
 def _check_family(rep: _Report, p: int, m: int) -> None:
     # Every row is decided twice without building a code: route A reads
     # the block sets of the idempotents (R_p = R_u x R_q x R_n), route B
-    # multiplies the idempotents in R_p.  A row passes only if both hold.
+    # multiplies their span coordinates by the structure constants of
+    # e1*e1, e2*e2 and e1*e2.  A row passes only if both hold; an
+    # idempotent outside the span has neither coordinates nor blocks.
     try:
         fam = build_family(p, m)
     except (OutOfFamilyRange, NoValidK, NoCaseApplies) as exc:
@@ -273,7 +274,17 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         "n": fam.idem_n,
         "nprime": fam.idem_n_prime,
     }
-    blocks = {name: block_set(e) for name, e in idem.items()}
+    mod = 1 << m
+    coords = {name: decompose_basis(e) for name, e in idem.items()}
+    blocks = {name: _triple_blocks(p, m, t) for name, t in coords.items()}
+
+    def mul(s, t):
+        return None if s is None or t is None else _span_mul(p, s, t, mod)
+
+    def sum_idempotent(s, t):  # s + t - st generates the sum of the two ideals
+        st = mul(s, t)
+        return None if st is None else tuple((x + y - z) % mod for x, y, z in zip(s, t, st))
+
     sizes = {name: _log2_size(s, p, m) for name, s in blocks.items()}
     if tag in ("C12", "C21"):
         small_q, small_n, big_q, big_n = "q", "n", "qprime", "nprime"
@@ -309,26 +320,23 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         )
     # h*h = p*h, so e_u = h/p is the idempotent of the all-ones ideal, and
     # the shift generator must be an odd multiple of it
-    one = ZPoly.one(p, m)
-    _, _, h = basis_vectors(p, m)
-    e_u = h.scale(pow(p, -1, 1 << m))
-    shift = fam.shift_generator()
-    unit = shift.coeffs[0] * p % (1 << m)
+    e_u = (pow(p, -1, mod),) * 3
+    shift = decompose_basis(fam.shift_generator())
+    unit = shift[0] * p % mod
     rep.row(
         "shift_ideal_size",
         p,
         m,
-        block_set(e_u) == _SHIFT_BLOCKS
-        and ring_mul(e_u, e_u) == e_u
+        _triple_blocks(p, m, e_u) == _SHIFT_BLOCKS
+        and mul(e_u, e_u) == e_u
         and unit % 2 == 1
-        and e_u.scale(unit) == shift,
+        and tuple(unit * c % mod for c in e_u) == shift,
         "ideal(h) scale",
     )
 
     def adds_shift(small_name: str, big_name: str) -> bool:
-        e = idem[small_name]
         return _same(_join(blocks[small_name], _SHIFT_BLOCKS), blocks[big_name]) and (
-            e + e_u - ring_mul(e, e_u) == idem[big_name]
+            sum_idempotent(coords[small_name], e_u) == coords[big_name]
         )
 
     rep.row(
@@ -340,8 +348,8 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
     )
     big_meet = _meet(blocks[big_q], blocks[big_n])
     big_union = _join(blocks[big_q], blocks[big_n])
-    prod = ring_mul(idem[big_q], idem[big_n])
-    esum = idem[big_q] + idem[big_n] - prod
+    prod = mul(coords[big_q], coords[big_n])
+    esum = sum_idempotent(coords[big_q], coords[big_n])
     rep.row(
         "big_pair_intersection",
         p,
@@ -353,7 +361,7 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         "big_pair_sum",
         p,
         m,
-        _log2_size(big_union, p, m) == m * p and esum == one,
+        _log2_size(big_union, p, m) == m * p and esum == (1, 0, 0),
         "large pair spans the whole ring",
     )
     rep.row(
@@ -361,16 +369,25 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         p,
         m,
         _meet(blocks[small_q], blocks[small_n]) == frozenset()
-        and ring_mul(idem[small_q], idem[small_n]).is_zero(),
+        and mul(coords[small_q], coords[small_n]) == (0, 0, 0),
         "small pair meets trivially",
     )
     # x -> x^-1 swaps the residue and nonresidue blocks exactly when -1 is
     # a nonresidue, p = 7 mod 8; the dual of C_S is the complement of the
-    # image of S, and the dual idempotent of e is 1 - e(x^-1)
+    # image of S, and the dual idempotent of e is 1 - e(x^-1).  Route A
+    # keys the swap on p mod 8, route B on the class of p - 1.
     inverse = {"u": "u", "q": "n", "n": "q"} if eps < 0 else {b: b for b in BLOCKS}
+    swaps = not quad_partition(p).is_residue(p - 1)
 
     def inverted(s):
         return None if s is None else frozenset(inverse[b] for b in s)
+
+    def inverted_coords(t):
+        return None if t is None else (t[0], t[2], t[1]) if swaps else t
+
+    def dual_idempotent(t):
+        a, b, c = inverted_coords(t)
+        return (1 - a) % mod, -b % mod, -c % mod
 
     pairing = {}
     for name, s in blocks.items():
@@ -382,7 +399,7 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
     else:
         expected = {"q": "nprime", "nprime": "q", "n": "qprime", "qprime": "n"}
     idempotent_ok = all(
-        partner is not None and one - mu_map(idem[name], p - 1) == idem[partner]
+        partner is not None and dual_idempotent(coords[name]) == coords[partner]
         for name, partner in pairing.items()
     )
     rep.row(
@@ -398,8 +415,7 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         return s is not None and not s & inverted(s)
 
     def self_orthogonal_idempotent(name: str) -> bool:
-        e = idem[name]
-        return ring_mul(e, mu_map(e, p - 1)).is_zero()
+        return mul(coords[name], inverted_coords(coords[name])) == (0, 0, 0)
 
     if eps < 0:
         rep.row(
@@ -475,14 +491,14 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         "intersection_idempotent_route",
         p,
         m,
-        _same(block_set(prod), big_meet),
+        _same(_triple_blocks(p, m, prod), big_meet),
         "product idempotent generates the intersection",
     )
     rep.row(
         "sum_idempotent_route",
         p,
         m,
-        _same(block_set(esum), big_union),
+        _same(_triple_blocks(p, m, esum), big_union),
         "e + f - ef generates the sum",
     )
 

@@ -329,7 +329,7 @@ LARGE_P_STDOUT_SHA256 = {
 
 @pytest.mark.slow
 def test_large_p_outputs_are_frozen(capsys):
-    # a few seconds in all, so CI runs it by name (pytest -m slow)
+    # a few seconds in all, so it runs only in CI's slow step (pytest -m slow)
     for argv, digest in LARGE_P_STDOUT_SHA256.items():
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -372,7 +372,7 @@ WEIGHT_CALLS_SHA256 = "afab54f0815f4159e74e86da67e60e5a4a99fa2065cb42c0e47fcec6e
 
 @pytest.mark.slow
 def test_weight_reports_are_frozen(capsys):
-    # about a second, so CI runs it by name (pytest -m slow)
+    # about a second, so it runs only in CI's slow step (pytest -m slow)
     h = hashlib.sha256()
     for argv in WEIGHT_CALLS:
         code, out, _ = run_cli(capsys, *argv)

@@ -21,7 +21,7 @@ from qr2m.lincode import (
     is_self_orthogonal,
     sum_codes,
 )
-from qr2m.modring import family_params, is_odd_prime
+from qr2m.modring import family_params, is_odd_prime, quad_partition
 from qr2m.polyring import (
     ZPoly,
     _from_zpoly,
@@ -29,7 +29,6 @@ from qr2m.polyring import (
     _to_zpoly,
     binary_qr_factors,
     hensel_lift_factors,
-    is_idempotent,
     mu_map,
     ring_mul,
 )
@@ -38,6 +37,7 @@ from qr2m.qr import (
     IdempotentCoeffs,
     _lift_span,
     _scan_span,
+    _span_products,
     assemble_basis,
     basis_vectors,
     block_set,
@@ -136,6 +136,31 @@ def test_printed_cross_product_diverges_only_for_residue_one_class():
     assert product_identities_report(7, 4).printed_divergences == ()
 
 
+def convolved_span_products(p, m):
+    """e1*e1, e2*e2, e1*e2 and h*h at modulus 2^m, from e1, e2 and h built
+    as support vectors and their sum (the oracle)."""
+    part = quad_partition(p)
+    e1 = ZPoly.from_support(part.q, p, m)
+    e2 = ZPoly.from_support(part.n, p, m)
+    h = ZPoly.one(p, m) + e1 + e2
+    return tuple(
+        decompose_basis(ring_mul(a, b)) for a, b in ((e1, e1), (e2, e2), (e1, e2), (h, h))
+    )
+
+
+# bit-length edges: 7 = 2^3 - 1, 17 = 2^4 + 1, 127 = 2^7 - 1, 257 = 2^8 + 1,
+# 8191 = 2^13 - 1
+@pytest.mark.parametrize("p", [7, 17, 127, 257, 8191])
+def test_span_products_are_integer_constants(p):
+    # every coefficient is at most p < 2^bit_length(p), so the products
+    # taken once at that modulus are the integer ones, and hold at every m
+    consts = _span_products(p)
+    assert consts == convolved_span_products(p, 62)
+    for m in range(1, 9):
+        reduced = tuple(tuple(c % (1 << m) for c in trip) for trip in consts)
+        assert reduced == convolved_span_products(p, m), m
+
+
 def test_h_square_is_p_times_h():
     for p, m in ((7, 4), (17, 5), (23, 6)):
         _, _, h = basis_vectors(p, m)
@@ -174,7 +199,8 @@ def test_solution_invariants():
         inv_p = pow(p, -1, mod)
         assert {s.conjugate_sum for s in sols} == {inv_p, (-inv_p) % mod}
         for s in sols:
-            assert is_idempotent(s.as_poly())
+            e = s.as_poly()
+            assert ring_mul(e, e) == e
             assert (2 * s.alpha - s.beta - s.gamma) % mod == 1
             assert coefficient_system_holds(p, m, *s.triple)
             assert swap_conjugate(s).triple in {t.triple for t in sols}

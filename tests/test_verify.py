@@ -126,8 +126,8 @@ def test_widest_family_point_passes():
     assert [c["status"] for c in family] == ["pass"]
 
 
-def _ring_mul_calls(monkeypatch, p, m) -> tuple[dict, list]:
-    """Verify (p, m) from cold caches, recording the shape of each ring_mul."""
+def _ring_mul_calls(monkeypatch, p, ms) -> tuple[dict, list]:
+    """Verify p over ms from cold caches, recording the shape of each ring_mul."""
     for cached in (
         qr._span_products,
         qr.span_idempotents,
@@ -144,27 +144,39 @@ def _ring_mul_calls(monkeypatch, p, m) -> tuple[dict, list]:
 
     for module in (polyring, qr, verify):
         monkeypatch.setattr(module, "ring_mul", spy)
-    report = run_verification([p], [m])
+    report = run_verification([p], ms)
     assert report["summary"]["failed"] == 0
     return report, calls
 
 
+def _family_ms(report) -> list[int]:
+    return [c["m"] for c in report["checks"] if c["name"] == "family_case"]
+
+
 def test_nonfamily_point_convolves_each_product_once(monkeypatch):
-    # three basis products and h*h; span idempotents are checked on the
-    # blocks, with no convolution
-    report, calls = _ring_mul_calls(monkeypatch, 41, 6)
-    assert [c["status"] for c in report["checks"] if c["name"] == "family_construction"] == ["skip"]
-    assert calls == [(41, 6)] * 4
+    # the three basis products and h*h, once per prime at the modulus
+    # 2^bit_length(p) = 2^9; span idempotents are checked on the blocks
+    report, calls = _ring_mul_calls(monkeypatch, 257, range(4, 9))
+    assert _family_ms(report) == []
+    assert calls == [(257, 9)] * 4
 
 
 def test_family_point_convolves_only_route_b_and_the_lift(monkeypatch):
-    # block sets and the candidate choice are read off Gauss periods; what
-    # is left is the four basis products, the idempotent algebra of route
-    # B, and the lift_identification and lift_idempotent products
-    report, calls = _ring_mul_calls(monkeypatch, 127, 8)
-    assert [c["status"] for c in report["checks"] if c["name"] == "family_case"] == ["pass"]
-    assert set(calls) == {(127, 8)}
-    assert len(calls) <= 15
+    # block sets and route B are taken in span coordinates; what is left
+    # is the four basis products at 2^7 and, at 2^8, the three
+    # lift_identification products and the lift_idempotent product
+    report, calls = _ring_mul_calls(monkeypatch, 127, [8])
+    assert _family_ms(report) == [8]
+    assert sorted(calls) == [(127, 7)] * 4 + [(127, 8)] * 4
+
+
+def test_family_prime_convolves_the_lift_once_per_constructible_m(monkeypatch):
+    # four basis products for the prime, and four lift products at each m
+    # where the family is built
+    report, calls = _ring_mul_calls(monkeypatch, 41, range(4, 9))
+    ms = _family_ms(report)
+    assert ms == [4]
+    assert sorted(calls) == sorted([(41, 6)] * 4 + [(41, m) for m in ms] * 4)
 
 
 def test_constructible_grid_points_verify_cleanly(constructible_points):
@@ -312,11 +324,15 @@ def test_a_broken_family_fails_the_rows_that_read_it(monkeypatch, p, m, small_ex
     doubled = dataclasses.replace(fam, idem_q=fam.idem_q.scale(2))
     swapped = dataclasses.replace(fam, idem_q=fam.idem_n)
     doubled_big = dataclasses.replace(fam, idem_q_prime=fam.idem_q_prime.scale(2))
+    outside = dataclasses.replace(fam, idem_q=fam.idem_q + ZPoly.x_power(1, p, m))
     assert qr.block_set(doubled.idem_q) is None
+    assert qr.decompose_basis(outside.idem_q) is None
     assert qr.block_set(doubled_big.idem_q_prime) is None
     expect = {
         # 2e is no idempotent: no block set, so no size and no dual either
         doubled: SMALL_Q_ROWS | {"family_sizes"} | small_extra,
+        # e + x leaves the span: no coordinates, so no block set either
+        outside: SMALL_Q_ROWS | {"family_sizes"} | small_extra,
         # idem_n has the right size and is self-orthogonal as idem_q would be
         swapped: SMALL_Q_ROWS,
         doubled_big: {
@@ -338,6 +354,56 @@ def test_a_broken_family_fails_the_rows_that_read_it(monkeypatch, p, m, small_ex
         report = run_verification([p], [m])
         assert _failed_rows(report) == rows
         assert report["summary"]["ok"] is False
+
+
+# the rows whose route B multiplies span coordinates, and the subset that a
+# product of zero fails: zero is the true product in small_pair_intersection
+# and in e*e_u for a small e
+PRODUCT_ROWS = {
+    "big_is_small_plus_shift",
+    "big_pair_intersection",
+    "big_pair_sum",
+    "intersection_idempotent_route",
+    "shift_ideal_size",
+    "small_pair_intersection",
+    "sum_idempotent_route",
+}
+VANISHING_ROWS = PRODUCT_ROWS - {"big_is_small_plus_shift", "small_pair_intersection"}
+
+
+# a small code is self-orthogonal when p = 7 mod 8, so its product with its
+# inversion is zero; when p = 1 mod 8 no such product is
+@pytest.mark.parametrize(
+    "p,m,off_by_one_extra,vanishing_extra",
+    [
+        (7, 4, {"small_self_orthogonal"}, set()),
+        (17, 5, set(), {"no_self_orthogonal_member"}),
+    ],
+)
+def test_a_broken_route_b_product_fails_the_rows_that_use_it(
+    monkeypatch, p, m, off_by_one_extra, vanishing_extra
+):
+    # only verify's coordinate product is broken: the block sets of route A
+    # and the span idempotents, which qr multiplies itself, stay intact
+    product = verify._span_mul
+
+    def off_by_one(prime, s, t, mod):
+        a, b, c = product(prime, s, t, mod)
+        return (a + 1) % mod, b, c
+
+    def vanishing(prime, s, t, mod):
+        return 0, 0, 0
+
+    for broken, rows in (
+        (off_by_one, PRODUCT_ROWS | off_by_one_extra),
+        (vanishing, VANISHING_ROWS | vanishing_extra),
+    ):
+        monkeypatch.setattr(verify, "_span_mul", broken)
+        report = run_verification([p], [m])
+        assert _failed_rows(report) == rows
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert status["family_sizes"] == "pass"
+        assert status["span_count"] == "pass"
 
 
 def test_the_sweep_builds_no_code(monkeypatch):
@@ -366,24 +432,24 @@ def test_wide_grid_report_is_frozen():
 @pytest.mark.slow
 def test_p400_grid_report_is_frozen():
     # reaches the constructible points with 200 < p < 400 that no other
-    # test builds; about 2 s, and CI runs it by name (pytest -m slow)
+    # test builds; it runs only in CI's slow step (pytest -m slow)
     assert _grid_report_digest(400) == (35, P400_GRID_SHA256)
 
 
 @pytest.mark.slow
 def test_p1000_grid_report_is_frozen():
-    # 80 primes at m = 4..8, 400 points; about 20 s, so CI runs it by name
+    # 80 primes at m = 4..8, 400 points; about 1 s, in CI's slow step
     assert _grid_report_digest(1000) == (80, P1000_GRID_SHA256)
 
 
 @pytest.mark.slow
 def test_p1000_2000_grid_report_is_frozen():
     # 66 primes at m = 4..8, 330 points, each constructible one with a
-    # lifted factorization of length p; about 5 s, so CI runs it by name
+    # lifted factorization of length p; about 2 s, in CI's slow step
     assert _grid_report_digest(2000, 1000) == (66, P1000_2000_GRID_SHA256)
 
 
 @pytest.mark.slow
 def test_p2000_4000_grid_report_is_frozen():
-    # 122 primes at m = 4..8, 610 points; about 20 s, so CI runs it by name
+    # 122 primes at m = 4..8, 610 points; about 10 s, in CI's slow step
     assert _grid_report_digest(4000, 2000) == (122, P2000_4000_GRID_SHA256)
