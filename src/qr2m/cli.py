@@ -230,6 +230,8 @@ def _resolve_weight_code(p: int, m: int, name: str):
 
 
 def cmd_weight(args) -> int:
+    if args.budget < 1:
+        raise ConfigError(f"--budget {args.budget}: must be positive")
     code = _resolve_weight_code(args.p, args.m, args.code)
     report = min_weight(code, budget=args.budget)
     if args.format == "csv":

@@ -8,7 +8,9 @@ quadratic residue codes.  Independent routes compute the same facts:
 exact cyclic convolution of support vectors, closed-form coefficient
 systems in k where p = 8k -/+ 1, and the values of a span element on the
 blocks u, q, n of R_p, read off the Gauss periods.  None of them trusts
-the others; the verifier and the test suite compare them.
+the others; the verifier and the test suite compare them.  A span
+element is held as its coordinates (alpha, beta, gamma) on 1, e1, e2;
+the family assembles a p-length vector only where it is read.
 """
 
 from __future__ import annotations
@@ -265,7 +267,7 @@ def span_idempotents(p: int, m: int) -> tuple[tuple[int, int, int], ...]:
     """
     Modulus(m)
     triples = _lift_span(p, m)
-    if any(_triple_blocks(p, m, t) is None for t in triples):
+    if any(block_set(p, m, t) is None for t in triples):
         raise AssertionError("digit lifting produced a non-idempotent triple")
     return tuple(sorted(triples))
 
@@ -296,9 +298,6 @@ class IdempotentCoeffs:
             raise ValueError("degenerate coefficients: beta equals gamma")
         if self.triple not in span_idempotents(self.p, self.m):
             raise ValueError("triple does not define an idempotent")
-
-    def as_poly(self) -> ZPoly:
-        return assemble_basis(self.p, self.m, self.alpha, self.beta, self.gamma)
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -332,32 +331,27 @@ def swap_conjugate(c: IdempotentCoeffs) -> IdempotentCoeffs:
     return IdempotentCoeffs(c.p, c.m, c.alpha, c.gamma, c.beta)
 
 
-def shift_by_h(e: ZPoly, direction: int, params: FamilyParams) -> ZPoly:
+def shift_by_h(c: IdempotentCoeffs, direction: int, params: FamilyParams) -> IdempotentCoeffs:
     """Add direction*(8k-1)*h to an idempotent and land on another one.
 
-    Legal only when the conjugate sum beta+gamma sits in the class that
-    the shift cancels: direction -1 needs beta+gamma = (8k-1), direction
-    +1 needs beta+gamma = -(8k-1), both mod 2^m.
+    h = 1 + e1 + e2, so the shift adds direction*(8k-1) to each coordinate,
+    mod 2^m.  Legal only when the conjugate sum beta+gamma sits in the class
+    that the shift cancels: direction -1 needs beta+gamma = (8k-1), direction
+    +1 needs beta+gamma = -(8k-1), both mod 2^m.  The result is checked to
+    be idempotent when it is constructed.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
-    if e.n != params.p or e.m != params.m:
+    if c.p != params.p or c.m != params.m:
         raise ShapeMismatch("idempotent does not live in the family's ring")
-    trip = decompose_basis(e)
-    if trip is None:
-        raise ValueError("polynomial is not in the span of 1, e1, e2")
     mod = 1 << params.m
     mult = params.h_multiplier % mod
     required = (-direction * mult) % mod
-    if (trip[1] + trip[2]) % mod != required:
+    if c.conjugate_sum != required:
         raise PreconditionSignMismatch(
-            f"conjugate sum {(trip[1] + trip[2]) % mod} is not {required} mod {mod}"
+            f"conjugate sum {c.conjugate_sum} is not {required} mod {mod}"
         )
-    # h = 1 + e1 + e2, so the shift adds the same constant to each coordinate
-    shifted = tuple(t + direction * mult for t in trip)
-    if _triple_blocks(params.p, params.m, shifted) is None:
-        raise AssertionError("h-shift left the idempotent locus")
-    return assemble_basis(params.p, params.m, *shifted)
+    return IdempotentCoeffs(c.p, c.m, *((t + direction * mult) % mod for t in c.triple))
 
 
 @lru_cache(maxsize=None)
@@ -395,10 +389,14 @@ def gauss_periods(p: int, m: int) -> tuple[int, int]:
     return eta, (-1 - eta) % mod
 
 
-def _triple_blocks(p: int, m: int, trip: tuple[int, int, int] | None) -> frozenset[str] | None:
-    """The blocks on which alpha + beta*e1 + gamma*e2 is 1; None if a value is not 0 or 1."""
-    if trip is None:  # an element outside the span has no block values
-        return None
+def block_set(p: int, m: int, trip: tuple[int, int, int]) -> frozenset[str] | None:
+    """The blocks on which alpha + beta*e1 + gamma*e2 is 1, or None if a value is not 0 or 1.
+
+    The block values are read off the Gauss periods.  A span idempotent is
+    0 or 1 on each block, and its ideal is the product of the blocks in its
+    set: log2 of its size is m times the sum of their degrees, 1 for u and
+    (p - 1)/2 for q and n.
+    """
     a, b, c = trip
     eta_q, eta_n = gauss_periods(p, m)
     values = (a + (b + c) * (p - 1) // 2, a + b * eta_q + c * eta_n, a + b * eta_n + c * eta_q)
@@ -408,77 +406,94 @@ def _triple_blocks(p: int, m: int, trip: tuple[int, int, int] | None) -> frozens
     return frozenset(blk for blk, v in zip(BLOCKS, values) if v)
 
 
-def block_set(e: ZPoly) -> frozenset[str] | None:
-    """The blocks on which e is 1, or None if e is not 0 or 1 on every block.
+def _ideal_code(p: int, m: int, trip: tuple[int, int, int]) -> LinearCode:
+    """The ideal generated by the span idempotent with coordinates trip.
 
-    e is decomposed in the span of 1, e1, e2 (None if it leaves the span)
-    and its block values read off the Gauss periods.  A span idempotent is
-    0 or 1 on each block, and its ideal is the product of the blocks in its
-    set: log2 of its size is m times the sum of their degrees, 1 for u and
-    (p - 1)/2 for q and n.
+    The ideal is the product of the blocks in its block set, which is the
+    ideal of the monic product g of the lifted factors of the other blocks;
+    code_from_divisor reads the code off g.
     """
-    return _triple_blocks(e.n, e.m, decompose_basis(e))
-
-
-def _ideal_code(e: ZPoly) -> LinearCode:
-    """The ideal generated by the span idempotent e, built from its generator.
-
-    The ideal of e is the product of the blocks in block_set(e), which is
-    the ideal of the monic product g of the lifted factors of the other
-    blocks; code_from_divisor reads the code off g.
-    """
-    blocks = block_set(e)
+    blocks = block_set(p, m, trip)
     if blocks is None:
         raise AssertionError("the idempotent is not 0 or 1 on every block")
-    lifted = lifted_factors(e.n, e.m)
-    mod = 1 << e.m
+    lifted = lifted_factors(p, m)
+    mod = 1 << m
     g = [1]
     for b, f in zip(BLOCKS, (lifted.f_unit, lifted.f_q, lifted.f_n)):
         if b not in blocks:
             g = _mul_raw(g, _from_zpoly(f), mod)
-    return code_from_divisor(g, e.n, e.m)
+    return code_from_divisor(g, p, m)
+
+
+def _shift_direction(case_tag: str) -> int:
+    """+1 where the bare idempotents are shifted by +(8k-1)h (C12, C22), else -1."""
+    return 1 if case_tag in ("C12", "C22") else -1
 
 
 @dataclass(frozen=True)
 class QrFamily:
-    """The four codes q, q', n, n' of (p, m), held as their defining idempotents.
+    """The four codes q, q', n, n' of (p, m), held as their idempotents' span triples.
 
-    Each code is built from its idempotent by _ideal_code on first access
-    and cached on the instance; the verify sweep reads only the idempotents.
+    Each triple is (alpha, beta, gamma) mod 2^m, the coordinates of the
+    idempotent on 1, e1, e2.  The p-length idempotent and the code of each
+    are built from its triple on first access and cached on the instance;
+    the verify sweep reads the triples, and the vectors only where a row
+    reads them.
     """
 
     params: FamilyParams
     case_tag: str
     coeffs_q: IdempotentCoeffs
-    idem_q: ZPoly
-    idem_q_prime: ZPoly
-    idem_n: ZPoly
-    idem_n_prime: ZPoly
+    triple_q: tuple[int, int, int]
+    triple_q_prime: tuple[int, int, int]
+    triple_n: tuple[int, int, int]
+    triple_n_prime: tuple[int, int, int]
+
+    @cached_property
+    def idem_q(self) -> ZPoly:
+        return assemble_basis(self.params.p, self.params.m, *self.triple_q)
+
+    @cached_property
+    def idem_q_prime(self) -> ZPoly:
+        return assemble_basis(self.params.p, self.params.m, *self.triple_q_prime)
+
+    @cached_property
+    def idem_n(self) -> ZPoly:
+        return assemble_basis(self.params.p, self.params.m, *self.triple_n)
+
+    @cached_property
+    def idem_n_prime(self) -> ZPoly:
+        return assemble_basis(self.params.p, self.params.m, *self.triple_n_prime)
 
     @cached_property
     def q(self) -> LinearCode:
-        return _ideal_code(self.idem_q)
+        return _ideal_code(self.params.p, self.params.m, self.triple_q)
 
     @cached_property
     def q_prime(self) -> LinearCode:
-        return _ideal_code(self.idem_q_prime)
+        return _ideal_code(self.params.p, self.params.m, self.triple_q_prime)
 
     @cached_property
     def n(self) -> LinearCode:
-        return _ideal_code(self.idem_n)
+        return _ideal_code(self.params.p, self.params.m, self.triple_n)
 
     @cached_property
     def n_prime(self) -> LinearCode:
-        return _ideal_code(self.idem_n_prime)
+        return _ideal_code(self.params.p, self.params.m, self.triple_n_prime)
 
     @property
     def shift_direction(self) -> int:
-        return 1 if self.case_tag in ("C12", "C22") else -1
+        return _shift_direction(self.case_tag)
+
+    @property
+    def shift_triple(self) -> tuple[int, int, int]:
+        """Span triple of the multiple of h that carries each code to its primed partner."""
+        c = self.shift_direction * self.params.h_multiplier % (1 << self.params.m)
+        return c, c, c
 
     def shift_generator(self) -> ZPoly:
-        """The multiple of h that carries each code to its primed partner."""
-        c = self.shift_direction * self.params.h_multiplier
-        return assemble_basis(self.params.p, self.params.m, c, c, c)
+        """shift_triple as a p-length vector."""
+        return assemble_basis(self.params.p, self.params.m, *self.shift_triple)
 
     def as_dict(self) -> dict:
         return {
@@ -513,8 +528,9 @@ def build_family(p: int, m: int) -> QrFamily:
     ideal is comparable (as a set) with the lifted residue-factor ideal,
     taking the lexicographically smallest triple if several qualify.  The
     ideal of e lies in the lift ideal L = (f_q) exactly when e is 0 on the
-    block q, and contains L exactly when e is 1 on the blocks u and n.  No
-    code is built here: the family's codes are built on first access.
+    block q, and contains L exactly when e is 1 on the blocks u and n.  The
+    bare pair d, swap(d) and their h-shifts are held as span triples; no
+    vector or code is built here, only on first access.
     """
     params = family_params(p, m)
     mod = 1 << m
@@ -546,30 +562,18 @@ def build_family(p: int, m: int) -> QrFamily:
         raise AmbiguousCase(f"sub-cases {[t for t, _ in viable]} both satisfiable")
     tag, bare_class = viable[0]
     candidates = [s for s in sols if s.conjugate_sum == bare_class]
-    blocks = [_triple_blocks(p, m, cand.triple) for cand in candidates]
+    blocks = [block_set(p, m, cand.triple) for cand in candidates]
     comparable = (c for c, s in zip(candidates, blocks) if "q" not in s or {"u", "n"} <= s)
     chosen = next(comparable, None)
     if chosen is None:
         raise AssertionError(
             "no candidate ideal is comparable with the lifted residue factor ideal"
         )
-    d = chosen.as_poly()
-    d_n = swap_conjugate(chosen).as_poly()
-    direction = 1 if tag in ("C12", "C22") else -1
-    d_shift = shift_by_h(d, direction, params)
-    d_n_shift = shift_by_h(d_n, direction, params)
+    d, d_n = chosen, swap_conjugate(chosen)
+    direction = _shift_direction(tag)
+    d_shift, d_n_shift = shift_by_h(d, direction, params), shift_by_h(d_n, direction, params)
     if tag in ("C12", "C21"):
-        idem_q, idem_qp = d, d_shift
-        idem_n, idem_np = d_n, d_n_shift
+        held = (d, d_shift, d_n, d_n_shift)
     else:
-        idem_q, idem_qp = d_shift, d
-        idem_n, idem_np = d_n_shift, d_n
-    return QrFamily(
-        params=params,
-        case_tag=tag,
-        coeffs_q=chosen,
-        idem_q=idem_q,
-        idem_q_prime=idem_qp,
-        idem_n=idem_n,
-        idem_n_prime=idem_np,
-    )
+        held = (d_shift, d, d_n_shift, d_n)
+    return QrFamily(params, tag, chosen, *(c.triple for c in held))

@@ -18,10 +18,9 @@ from .polyring import idempotent_from_generator, mu_map, ring_mul
 from .qr import (
     BLOCKS,
     _span_mul,
-    _triple_blocks,
+    block_set,
     build_family,
     coefficient_system_holds,
-    decompose_basis,
     lifted_factors,
     product_identities_report,
     solve_idempotent_system,
@@ -255,8 +254,8 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
     # Every row is decided twice without building a code: route A reads
     # the block sets of the idempotents (R_p = R_u x R_q x R_n), route B
     # multiplies their span coordinates by the structure constants of
-    # e1*e1, e2*e2 and e1*e2.  A row passes only if both hold; an
-    # idempotent outside the span has neither coordinates nor blocks.
+    # e1*e1, e2*e2 and e1*e2.  A row passes only if both hold; a triple
+    # that is not 0 or 1 on every block has no block set.
     try:
         fam = build_family(p, m)
     except (OutOfFamilyRange, NoValidK, NoCaseApplies) as exc:
@@ -268,39 +267,31 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
     k, eps = split_parameter(p)
     rep.row("family_case", p, m, True, tag)
     small, big = m * (p - 1) // 2, m * (p + 1) // 2
-    idem = {
-        "q": fam.idem_q,
-        "qprime": fam.idem_q_prime,
-        "n": fam.idem_n,
-        "nprime": fam.idem_n_prime,
+    coords = {
+        "q": fam.triple_q,
+        "qprime": fam.triple_q_prime,
+        "n": fam.triple_n,
+        "nprime": fam.triple_n_prime,
     }
     mod = 1 << m
-    coords = {name: decompose_basis(e) for name, e in idem.items()}
-    blocks = {name: _triple_blocks(p, m, t) for name, t in coords.items()}
+    blocks = {name: block_set(p, m, t) for name, t in coords.items()}
 
     def mul(s, t):
-        return None if s is None or t is None else _span_mul(p, s, t, mod)
+        return _span_mul(p, s, t, mod)
 
     def sum_idempotent(s, t):  # s + t - st generates the sum of the two ideals
-        st = mul(s, t)
-        return None if st is None else tuple((x + y - z) % mod for x, y, z in zip(s, t, st))
+        return tuple((x + y - z) % mod for x, y, z in zip(s, t, mul(s, t)))
 
     sizes = {name: _log2_size(s, p, m) for name, s in blocks.items()}
     if tag in ("C12", "C21"):
         small_q, small_n, big_q, big_n = "q", "n", "qprime", "nprime"
     else:
         small_q, small_n, big_q, big_n = "qprime", "nprime", "q", "n"
-    sizes_ok = (
-        sizes[small_q] == small
-        and sizes[small_n] == small
-        and sizes[big_q] == big
-        and sizes[big_n] == big
-    )
     rep.row(
         "family_sizes",
         p,
         m,
-        sizes_ok,
+        sizes == {small_q: small, small_n: small, big_q: big, big_n: big},
         f"log2 sizes q={sizes['q']} q'={sizes['qprime']} "
         f"n={sizes['n']} n'={sizes['nprime']}",
     )
@@ -321,13 +312,13 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
     # h*h = p*h, so e_u = h/p is the idempotent of the all-ones ideal, and
     # the shift generator must be an odd multiple of it
     e_u = (pow(p, -1, mod),) * 3
-    shift = decompose_basis(fam.shift_generator())
+    shift = fam.shift_triple
     unit = shift[0] * p % mod
     rep.row(
         "shift_ideal_size",
         p,
         m,
-        _triple_blocks(p, m, e_u) == _SHIFT_BLOCKS
+        block_set(p, m, e_u) == _SHIFT_BLOCKS
         and mul(e_u, e_u) == e_u
         and unit % 2 == 1
         and tuple(unit * c % mod for c in e_u) == shift,
@@ -383,7 +374,7 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         return None if s is None else frozenset(inverse[b] for b in s)
 
     def inverted_coords(t):
-        return None if t is None else (t[0], t[2], t[1]) if swaps else t
+        return (t[0], t[2], t[1]) if swaps else t
 
     def dual_idempotent(t):
         a, b, c = inverted_coords(t)
@@ -429,14 +420,14 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
             "small codes sit inside their duals",
         )
     else:
-        self_orth = {name: self_orthogonal_blocks(name) for name in idem}
+        self_orth = {name: self_orthogonal_blocks(name) for name in coords}
         rep.row(
             "no_self_orthogonal_member",
             p,
             m,
             None not in blocks.values()
             and not any(self_orth.values())
-            and not any(self_orthogonal_idempotent(name) for name in idem),
+            and not any(self_orthogonal_idempotent(name) for name in coords),
             "inversion fixes both residue classes",
         )
         rep.erratum(
@@ -453,7 +444,7 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
     lifted = lifted_factors(p, m)
     f_q = lifted.f_q
     cof_q = ring_mul(lifted.f_unit, lifted.f_n)
-    e_big_q = idem[big_q]
+    e_big_q = fam.idem_q_prime if big_q == "qprime" else fam.idem_q
     rep.row(
         "lift_identification",
         p,
@@ -491,14 +482,14 @@ def _check_family(rep: _Report, p: int, m: int) -> None:
         "intersection_idempotent_route",
         p,
         m,
-        _same(_triple_blocks(p, m, prod), big_meet),
+        _same(block_set(p, m, prod), big_meet),
         "product idempotent generates the intersection",
     )
     rep.row(
         "sum_idempotent_route",
         p,
         m,
-        _same(_triple_blocks(p, m, esum), big_union),
+        _same(block_set(p, m, esum), big_union),
         "e + f - ef generates the sum",
     )
 

@@ -66,6 +66,21 @@ def test_family_command_not_constructible(capsys):
     assert "no constructible" in data["reason"]
 
 
+# sha256 over the exit code and stdout of `family P M` at every constructible
+# point of the wide grid and at the three desk points that are not
+# constructible, frozen while the family still held p-length idempotents
+FAMILY_STDOUT_SHA256 = "e7eeda4e84e1de76266e6831a6162ee8ea8f59d0fc3a1b5a958be46db7cb3ad8"
+
+
+def test_family_outputs_are_frozen(capsys, constructible_points):
+    h = hashlib.sha256()
+    for p, m in list(constructible_points) + [(7, 5), (17, 4), (23, 5)]:
+        argv = ("family", str(p), str(m))
+        code, out, _ = run_cli(capsys, *argv)
+        h.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert h.hexdigest() == FAMILY_STDOUT_SHA256
+
+
 def test_weight_json(capsys):
     code, data, _ = run_json(
         capsys, "weight", "7", "3", "--code", "lift", "--exhaustive"
@@ -294,12 +309,14 @@ BOUNDARY_P = ("2", "9", "2305843009213693951")
         ]
         for p in BOUNDARY_P
         for m in ("0", "3", "63")
-    ],
+    ]
+    + [("weight", "7", "4", "--code", "ones", "--budget", b) for b in ("-5", "0")],
     ids="-".join,
 )
 def test_boundary_p_and_m_exit_2(capsys, argv):
     # 2 is even, 9 composite and 2^61 - 1 above MAX_P; m = 0 and 63 are
-    # out of range, and m = 3 is valid
+    # out of range, and m = 3 is valid; a budget below 1 is a usage error,
+    # as it is in the sweep file, not an exhausted budget
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error:" in err

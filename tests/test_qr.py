@@ -199,7 +199,7 @@ def test_solution_invariants():
         inv_p = pow(p, -1, mod)
         assert {s.conjugate_sum for s in sols} == {inv_p, (-inv_p) % mod}
         for s in sols:
-            e = s.as_poly()
+            e = assemble_basis(p, m, *s.triple)
             assert ring_mul(e, e) == e
             assert (2 * s.alpha - s.beta - s.gamma) % mod == 1
             assert coefficient_system_holds(p, m, *s.triple)
@@ -236,33 +236,35 @@ def test_idempotent_coeffs_validation():
 
 def test_shift_by_h_frozen_values():
     params = family_params(7, 4)
-    d = assemble_basis(7, 4, 5, 6, 3)  # conjugate sum 9 = -7 mod 16
+    d = IdempotentCoeffs(7, 4, 5, 6, 3)  # conjugate sum 9 = -7 mod 16
     shifted = shift_by_h(d, 1, params)
-    assert decompose_basis(shifted) == (12, 13, 10)
+    assert shifted.triple == (12, 13, 10)
+    # adding 7h = 7 + 7e1 + 7e2 to the vector lands on the shifted triple
+    h7 = zpoly_sum_basis(7, 4, 7, 7, 7)
+    assert assemble_basis(7, 4, *d.triple) + h7 == assemble_basis(7, 4, *shifted.triple)
     back = shift_by_h(shifted, -1, params)
     assert back == d
 
 
 def test_shift_by_h_preconditions():
     params = family_params(7, 4)
-    d = assemble_basis(7, 4, 5, 6, 3)
+    d = IdempotentCoeffs(7, 4, 5, 6, 3)
     with pytest.raises(PreconditionSignMismatch):
         shift_by_h(d, -1, params)  # conjugate sum is -(8k-1), not +(8k-1)
     with pytest.raises(ValueError):
         shift_by_h(d, 2, params)
     with pytest.raises(ShapeMismatch):
-        shift_by_h(assemble_basis(7, 5, 5, 6, 3), 1, params)
-    with pytest.raises(ValueError):
-        shift_by_h(ZPoly.x_power(1, 7, 4), 1, params)
+        shift_by_h(solve_idempotent_system(7, 5)[0], 1, params)
 
 
 def test_family_7_4_frozen():
     fam = build_family(7, 4)
     assert fam.case_tag == "C12"
-    assert fam.coeffs_q.triple == (5, 6, 3)
-    assert decompose_basis(fam.idem_n) == (5, 3, 6)
-    assert decompose_basis(fam.idem_q_prime) == (12, 13, 10)
-    assert decompose_basis(fam.idem_n_prime) == (12, 10, 13)
+    assert fam.coeffs_q.triple == fam.triple_q == (5, 6, 3)
+    assert fam.triple_n == (5, 3, 6)
+    assert fam.triple_q_prime == (12, 13, 10)
+    assert fam.triple_n_prime == (12, 10, 13)
+    assert decompose_basis(fam.idem_n_prime) == fam.triple_n_prime
     assert fam.q.log2_size == 12
     assert fam.n.log2_size == 12
     assert fam.q_prime.log2_size == 16
@@ -304,8 +306,7 @@ def test_family_17_5_frozen():
 def test_family_shift_generator_spans_h():
     fam = build_family(7, 4)
     gen = fam.shift_generator()
-    trip = decompose_basis(gen)
-    assert trip is not None and trip[0] == trip[1] == trip[2]
+    assert decompose_basis(gen) == fam.shift_triple == (7, 7, 7)
     assert fam.shift_direction == 1
 
 
@@ -379,7 +380,7 @@ def test_block_cofactors_split_the_ring(p, m):
         assert ring_mul(a, b).is_zero()
     for e, want in ((ZPoly.one(p, m), set(BLOCKS)), (ZPoly.zero(p, m), set())):
         assert cofactor_block_set(e, cofactors) == want
-        assert block_set(e) == want
+        assert block_set(p, m, decompose_basis(e)) == want
 
 
 def test_block_sets_match_the_cofactor_route():
@@ -393,7 +394,8 @@ def test_block_sets_match_the_cofactor_route():
             cofactors = block_cofactors(p, m)
             for triple in span_idempotents(p, m):
                 e = assemble_basis(p, m, *triple)
-                assert block_set(e) == cofactor_block_set(e, cofactors), (p, m, triple)
+                want = cofactor_block_set(e, cofactors)
+                assert block_set(p, m, decompose_basis(e)) == want, (p, m, triple)
                 count += 1
     assert count == 2240
 
@@ -418,14 +420,14 @@ def test_block_sets_name_the_span_ideals(p, m):
     seen = set()
     for triple in span_idempotents(p, m):
         e = assemble_basis(p, m, *triple)
-        blocks = block_set(e)
+        blocks = block_set(p, m, triple)
         assert blocks is not None
         seen.add(blocks)
         degrees = sum(1 if b == "u" else half for b in blocks)
         assert code_from_polynomial(e).log2_size == m * degrees
         if m > 1 and blocks:
             # 2e is 0 or 2 on each block, never 0 or 1 on all of them
-            assert block_set(e.scale(2)) is None
+            assert block_set(p, m, decompose_basis(e.scale(2))) is None
     assert len(seen) == 8
 
 
@@ -481,7 +483,7 @@ def test_family_matches_the_rotation_span_route(families):
         for cand in solve_idempotent_system(p, m):
             if cand.conjugate_sum != fam.coeffs_q.conjugate_sum:
                 continue
-            code = code_from_polynomial(cand.as_poly())
+            code = code_from_polynomial(assemble_basis(p, m, *cand.triple))
             if lift.contains_code(code) or code.contains_code(lift):
                 chosen = cand
                 break

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -126,8 +127,15 @@ def test_widest_family_point_passes():
     assert [c["status"] for c in family] == ["pass"]
 
 
-def _ring_mul_calls(monkeypatch, p, ms) -> tuple[dict, list]:
-    """Verify p over ms from cold caches, recording the shape of each ring_mul."""
+SPIED = ("ring_mul", "decompose_basis", "assemble_basis")
+
+
+def _spied_calls(monkeypatch, p, ms) -> tuple[dict, dict[str, list]]:
+    """Verify p over ms from cold caches, recording every call to SPIED.
+
+    A ring_mul is recorded by the shape of its operands, a decomposition
+    by the function that asked for it, an assembly by its (p, m, triple).
+    """
     for cached in (
         qr._span_products,
         qr.span_idempotents,
@@ -135,15 +143,26 @@ def _ring_mul_calls(monkeypatch, p, ms) -> tuple[dict, list]:
         qr.lifted_factors,
     ):
         cached.cache_clear()
-    calls = []
-    ring_mul = polyring.ring_mul
+    calls = {name: [] for name in SPIED}
+    ring_mul, decompose, assemble = (getattr(qr, name) for name in SPIED)
 
-    def spy(a, b):
-        calls.append((a.n, a.m))
+    def ring_mul_spy(a, b):
+        calls["ring_mul"].append((a.n, a.m))
         return ring_mul(a, b)
 
+    def decompose_spy(f):
+        calls["decompose_basis"].append(sys._getframe(1).f_code.co_name)
+        return decompose(f)
+
+    def assemble_spy(p, m, *trip):
+        calls["assemble_basis"].append((p, m, tuple(c % (1 << m) for c in trip)))
+        return assemble(p, m, *trip)
+
+    spies = dict(zip(SPIED, (ring_mul_spy, decompose_spy, assemble_spy)))
     for module in (polyring, qr, verify):
-        monkeypatch.setattr(module, "ring_mul", spy)
+        for name, spy in spies.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
     report = run_verification([p], ms)
     assert report["summary"]["failed"] == 0
     return report, calls
@@ -153,30 +172,47 @@ def _family_ms(report) -> list[int]:
     return [c["m"] for c in report["checks"] if c["name"] == "family_case"]
 
 
+def _family_triples(p, m) -> list[tuple]:
+    fam = qr.build_family(p, m)
+    triples = (fam.triple_q, fam.triple_q_prime, fam.triple_n, fam.triple_n_prime)
+    return [(p, m, t) for t in triples]
+
+
 def test_nonfamily_point_convolves_each_product_once(monkeypatch):
     # the three basis products and h*h, once per prime at the modulus
     # 2^bit_length(p) = 2^9; span idempotents are checked on the blocks
-    report, calls = _ring_mul_calls(monkeypatch, 257, range(4, 9))
+    report, calls = _spied_calls(monkeypatch, 257, range(4, 9))
     assert _family_ms(report) == []
-    assert calls == [(257, 9)] * 4
+    assert calls["ring_mul"] == [(257, 9)] * 4
+    assert calls["decompose_basis"] == ["_span_products"] * 4
+    assert calls["assemble_basis"] == []
 
 
 def test_family_point_convolves_only_route_b_and_the_lift(monkeypatch):
     # block sets and route B are taken in span coordinates; what is left
     # is the four basis products at 2^7 and, at 2^8, the three
     # lift_identification products and the lift_idempotent product
-    report, calls = _ring_mul_calls(monkeypatch, 127, [8])
+    report, calls = _spied_calls(monkeypatch, 127, [8])
     assert _family_ms(report) == [8]
-    assert sorted(calls) == [(127, 7)] * 4 + [(127, 8)] * 4
+    assert sorted(calls["ring_mul"]) == [(127, 7)] * 4 + [(127, 8)] * 4
+    # the family is held as span triples: nothing is decomposed but the
+    # basis products, and each idempotent is assembled once, for the rows
+    # that read its vector
+    assert calls["decompose_basis"] == ["_span_products"] * 4
+    assert sorted(calls["assemble_basis"]) == sorted(_family_triples(127, 8))
 
 
 def test_family_prime_convolves_the_lift_once_per_constructible_m(monkeypatch):
     # four basis products for the prime, and four lift products at each m
     # where the family is built
-    report, calls = _ring_mul_calls(monkeypatch, 41, range(4, 9))
+    report, calls = _spied_calls(monkeypatch, 41, range(4, 9))
     ms = _family_ms(report)
     assert ms == [4]
-    assert sorted(calls) == sorted([(41, 6)] * 4 + [(41, m) for m in ms] * 4)
+    assert sorted(calls["ring_mul"]) == sorted([(41, 6)] * 4 + [(41, m) for m in ms] * 4)
+    assert calls["decompose_basis"] == ["_span_products"] * 4
+    assert sorted(calls["assemble_basis"]) == sorted(
+        t for m in ms for t in _family_triples(41, m)
+    )
 
 
 def test_constructible_grid_points_verify_cleanly(constructible_points):
@@ -321,19 +357,22 @@ SMALL_Q_ROWS = {
 )
 def test_a_broken_family_fails_the_rows_that_read_it(monkeypatch, p, m, small_extra, big_extra):
     fam = qr.build_family(p, m)
-    doubled = dataclasses.replace(fam, idem_q=fam.idem_q.scale(2))
-    swapped = dataclasses.replace(fam, idem_q=fam.idem_n)
-    doubled_big = dataclasses.replace(fam, idem_q_prime=fam.idem_q_prime.scale(2))
-    outside = dataclasses.replace(fam, idem_q=fam.idem_q + ZPoly.x_power(1, p, m))
-    assert qr.block_set(doubled.idem_q) is None
-    assert qr.decompose_basis(outside.idem_q) is None
-    assert qr.block_set(doubled_big.idem_q_prime) is None
+
+    def twice(trip):
+        return tuple(2 * c % (1 << m) for c in trip)
+
+    doubled = dataclasses.replace(fam, triple_q=twice(fam.triple_q))
+    swapped = dataclasses.replace(fam, triple_q=fam.triple_n)
+    doubled_big = dataclasses.replace(fam, triple_q_prime=twice(fam.triple_q_prime))
+    assert qr.block_set(p, m, doubled.triple_q) is None
+    assert qr.block_set(p, m, doubled_big.triple_q_prime) is None
+    # the vectors are a view of the triples, so they break with them
+    assert doubled.idem_q == fam.idem_q.scale(2)
+    assert swapped.idem_q == fam.idem_n
     expect = {
         # 2e is no idempotent: no block set, so no size and no dual either
         doubled: SMALL_Q_ROWS | {"family_sizes"} | small_extra,
-        # e + x leaves the span: no coordinates, so no block set either
-        outside: SMALL_Q_ROWS | {"family_sizes"} | small_extra,
-        # idem_n has the right size and is self-orthogonal as idem_q would be
+        # the triple of n has the right size and is self-orthogonal as q's would be
         swapped: SMALL_Q_ROWS,
         doubled_big: {
             "big_is_small_plus_shift",
