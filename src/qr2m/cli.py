@@ -134,8 +134,11 @@ def _dump(obj: dict, output: str = "-") -> None:
     if output == "-":
         print(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {output}: {exc}")
 
 
 def cmd_partition(args) -> int:
@@ -205,6 +208,8 @@ def cmd_verify(args) -> int:
                 expected = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read expectation file {args.expect}: {exc}")
+        if not isinstance(expected, dict):
+            raise ConfigError(f"expectation file {args.expect}: not a JSON object")
         if expected.get("errata") != report["errata"]:
             print("errata do not match expectation file", file=sys.stderr)
             status = 1

@@ -2,15 +2,13 @@
 
 For an odd prime p congruent to +1 or -1 modulo 8, the nonzero residues
 split into the set Q of quadratic residues and its complement N.  The
-counting functions here (zero sums, residue class counts) are the
-combinatorial backbone of every product identity in the rest of the
-package.  A partition also holds each class as a p-bit mask (bit j set
-for j in the class), so the class counts of a shifted set i + S come from
-rotating the mask of S by i and taking two popcounts against the class
-masks; `residue_class_counts` classifies one sum at a time and stays as
-the element-wise reference route.  `family_params` locates p relative to
-2^m as p = +-(8k - 1), which is the congruence every construction case
-keys on.
+counting functions here (zero sums, residue class counts) classify one
+sum at a time; they are the element-wise reference for the cyclotomic
+numbers of order 2 that the verifier reads off the basis products in
+`qr`.  A partition also holds each class as a p-bit mask (bit j set for j
+in the class), which the binary factorization of x^p - 1 reads.
+`family_params` locates p relative to 2^m as p = +-(8k - 1), which is the
+congruence every construction case keys on.
 """
 
 from __future__ import annotations
@@ -102,18 +100,6 @@ class QuadPartition:
     def n_mask(self) -> int:
         """Bit j set exactly for the nonresidues j."""
         return sum(1 << j for j in self.n)
-
-    def shifted_counts(self, i: int, mask: int) -> tuple[int, int, int]:
-        """(residues, nonresidues, zeros) over {i + j mod p : j in mask}.
-
-        Rotating the p-bit mask left by i mod p moves bit j to bit
-        i + j mod p, so two popcounts against the class masks and bit 0
-        of the rotation give the three counts.
-        """
-        p = self.p
-        r = i % p
-        rot = ((mask << r) | (mask >> (p - r))) & ((1 << p) - 1)
-        return (rot & self.q_mask).bit_count(), (rot & self.n_mask).bit_count(), rot & 1
 
 
 @lru_cache(maxsize=None)

@@ -80,19 +80,24 @@ def assemble_basis(p: int, m: int, alpha: int, beta: int, gamma: int) -> ZPoly:
 
 @lru_cache(maxsize=None)
 def _span_products(p: int) -> tuple[tuple[int, int, int], ...]:
-    """Integer span coordinates of e1*e1, e2*e2, e1*e2 and h*h, by raw convolution.
+    """Integer span coordinates of e1*e1, e2*e2, e1*e2 and h*h.
 
-    Each coefficient counts index pairs, so it is at most p < 2^bit_length(p),
-    and one convolution at that modulus is exact for every m.
+    Their coefficients are the cyclotomic numbers of order 2, counts of
+    index pairs, so at most p < 2^bit_length(p): a convolution at that
+    modulus is exact for every m.  Only e1*e1 and h*h are convolved;
+    h*f = (sum of f)*h and e2 = h - 1 - e1 give e1*e2 = |Q|h - e1 - e1*e1
+    and e2*e2 = |N|h - e2 - e1*e2.  h*h derived from the counts would leave
+    the product_h_h row nothing computed.
     """
-    e1, e2, h = basis_vectors(p, p.bit_length())
-    out = []
-    for a, b in ((e1, e1), (e2, e2), (e1, e2), (h, h)):
-        trip = decompose_basis(ring_mul(a, b))
-        if trip is None:
-            raise AssertionError("basis product left the span of 1, e1, e2")
-        out.append(trip)
-    return tuple(out)
+    e1, _, h = basis_vectors(p, p.bit_length())
+    e11 = decompose_basis(ring_mul(e1, e1))
+    hh = decompose_basis(ring_mul(h, h))
+    if e11 is None or hh is None:
+        raise AssertionError("basis product left the span of 1, e1, e2")
+    half = (p - 1) // 2
+    e12 = (half - e11[0], half - 1 - e11[1], half - e11[2])
+    e22 = (half - e12[0], half - e12[1], half - 1 - e12[2])
+    return e11, e22, e12, hh
 
 
 def closed_form_products(p: int, m: int) -> dict[str, tuple[int, int, int]]:
@@ -133,7 +138,7 @@ class IdentityCheck:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Convolution versus closed form for the four basis products."""
+    """Computed span coordinates versus closed form for the four basis products."""
 
     p: int
     m: int
@@ -406,6 +411,13 @@ def block_set(p: int, m: int, trip: tuple[int, int, int]) -> frozenset[str] | No
     return frozenset(blk for blk, v in zip(BLOCKS, values) if v)
 
 
+def _log2_size(blocks, p: int, m: int):
+    """log2 of the size of the ideal with these blocks: m times their degrees."""
+    if blocks is None:
+        return None
+    return m * sum(1 if b == "u" else (p - 1) // 2 for b in blocks)
+
+
 def _ideal_code(p: int, m: int, trip: tuple[int, int, int]) -> LinearCode:
     """The ideal generated by the span idempotent with coordinates trip.
 
@@ -496,25 +508,21 @@ class QrFamily:
         return assemble_basis(self.params.p, self.params.m, *self.shift_triple)
 
     def as_dict(self) -> dict:
+        p, m = self.params.p, self.params.m
+        names = ("q", "qprime", "n", "nprime")
+        triples = (self.triple_q, self.triple_q_prime, self.triple_n, self.triple_n_prime)
+        idems = (self.idem_q, self.idem_q_prime, self.idem_n, self.idem_n_prime)
         return {
-            "p": self.params.p,
-            "m": self.params.m,
+            "p": p,
+            "m": m,
             "k": self.params.k,
             "sign": self.params.sign,
             "case": self.case_tag,
             "coeffs_q": self.coeffs_q.as_dict(),
             "log2_sizes": {
-                "q": self.q.log2_size,
-                "qprime": self.q_prime.log2_size,
-                "n": self.n.log2_size,
-                "nprime": self.n_prime.log2_size,
+                name: _log2_size(block_set(p, m, t), p, m) for name, t in zip(names, triples)
             },
-            "idempotents": {
-                "q": list(self.idem_q.coeffs),
-                "qprime": list(self.idem_q_prime.coeffs),
-                "n": list(self.idem_n.coeffs),
-                "nprime": list(self.idem_n_prime.coeffs),
-            },
+            "idempotents": {name: list(e.coeffs) for name, e in zip(names, idems)},
         }
 
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from . import padic
 from .errors import NoCaseApplies, NoValidK, OutOfFamilyRange
-from .modring import count_zero_sums, family_params, quad_partition
+from .modring import family_params, quad_partition
 from .polyring import idempotent_from_generator, mu_map, ring_mul
 from .qr import (
     BLOCKS,
+    _log2_size,
     _span_mul,
+    _span_products,
     block_set,
     build_family,
     coefficient_system_holds,
@@ -68,18 +70,15 @@ class _Report:
 
 
 def _check_partition_structure(rep: _Report, p: int) -> None:
-    part = quad_partition(p)
+    # Every count here is a cyclotomic number of order 2, read off the span
+    # products: the zero sums are coordinate 0 of e1*e1, e2*e2 and e1*e2.
     k, eps = split_parameter(p)
     half = (p - 1) // 2
-    qq = count_zero_sums(part.q, part.q, p)
-    nn = count_zero_sums(part.n, part.n, p)
-    qn = count_zero_sums(part.q, part.n, p)
-    if eps < 0:
-        ok = qq == 0 and nn == 0 and qn == half
-        rep.row("zero_sum_structure", p, None, ok, f"qq={qq} nn={nn} qn={qn}")
-    else:
-        ok = qq == half and nn == half and qn == 0
-        rep.row("zero_sum_structure", p, None, ok, f"qq={qq} nn={nn} qn={qn}")
+    e11, e22, e12, _ = _span_products(p)
+    qq, nn, qn = e11[0], e22[0], e12[0]
+    ok = (qq, nn, qn) == ((0, 0, half) if eps < 0 else (half, half, 0))
+    rep.row("zero_sum_structure", p, None, ok, f"qq={qq} nn={nn} qn={qn}")
+    if eps > 0:
         # the printed claim for this residue class denies the nn pairs
         rep.erratum(
             "nonresidue_pair_zero_sums",
@@ -100,12 +99,19 @@ def _check_partition_structure(rep: _Report, p: int) -> None:
     # basing the shift at a nonresidue swaps the residue/nonresidue tallies;
     # the cross tuple is symmetric in its first two entries either way
     swapped = (same[1], same[0], same[2])
-    counts = part.shifted_counts
-    q_mask, n_mask = part.q_mask, part.n_mask
-    ok = all(counts(i, q_mask) == same for i in part.q)
-    ok = ok and all(counts(i, n_mask) == cross for i in part.q)
-    ok = ok and all(counts(i, n_mask) == swapped for i in part.n)
-    ok = ok and all(counts(i, q_mask) == cross for i in part.n)
+    # #{j in S : i + j in Q} is the coefficient at i of e_{-S}*e1, and
+    # likewise for N; the zeros are the rest of the (p - 1)/2 sums.  x -> -x
+    # fixes Q and N when p = 1 mod 8 and swaps them when p = 7 mod 8.  A
+    # span element takes coordinate 1 at every residue i, 2 at every nonresidue.
+    times = {"q": (e11, e12), "n": (e12, e22)}  # e_S*e1 and e_S*e2
+    negated = {"q": "n", "n": "q"} if eps < 0 else {"q": "q", "n": "n"}
+
+    def counts(at: int, s: str) -> tuple[int, int, int]:
+        by_q, by_n = (prod[at] for prod in times[negated[s]])
+        return by_q, by_n, half - by_q - by_n
+
+    ok = counts(1, "q") == same and counts(1, "n") == cross
+    ok = ok and counts(2, "n") == swapped and counts(2, "q") == cross
     rep.row("shifted_class_counts", p, None, ok, f"same={same} cross={cross}")
 
 
@@ -228,13 +234,6 @@ def _check_padic(rep: _Report, p: int, m: int, params) -> None:
 
 _ALL_BLOCKS = frozenset(BLOCKS)
 _SHIFT_BLOCKS = frozenset({"u"})
-
-
-def _log2_size(blocks, p: int, m: int):
-    """log2 of the size of the ideal with these blocks: m times their degrees."""
-    if blocks is None:
-        return None
-    return m * sum(1 if b == "u" else (p - 1) // 2 for b in blocks)
 
 
 def _meet(a, b):

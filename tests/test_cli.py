@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qr2m
+from qr2m import qr
 from qr2m.cli import ConfigError, main, parse_config_text
 
 
@@ -79,6 +80,17 @@ def test_family_outputs_are_frozen(capsys, constructible_points):
         code, out, _ = run_cli(capsys, *argv)
         h.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
     assert h.hexdigest() == FAMILY_STDOUT_SHA256
+
+
+def test_family_command_builds_no_code(capsys, monkeypatch, constructible_points):
+    # log2_sizes come from the block sets, so printing a family needs no code
+    def refuse(*args, **kwargs):
+        raise AssertionError("family built a code")
+
+    monkeypatch.setattr(qr, "code_from_divisor", refuse)
+    for p, m in constructible_points:
+        code, data, _ = run_json(capsys, "family", str(p), str(m))
+        assert code == 0 and data["constructible"] is True, (p, m)
 
 
 def test_weight_json(capsys):
@@ -168,6 +180,25 @@ def test_verify_writes_output_file(tmp_path, capsys):
     assert stdout == ""
     report = json.loads(out.read_text())
     assert report["summary"]["ok"] is True
+
+
+@pytest.mark.parametrize("target", ["missing/dir/out.json", "."])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, target):
+    cfg = tmp_path / "sweep.toml"
+    cfg.write_text(f"p_list = [7]\nm_list = [4]\noutput = {tmp_path / target}\n")
+    code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert "config error: cannot write output" in err
+
+
+def test_non_object_expectation_is_a_config_error(tmp_path, capsys):
+    listed = tmp_path / "expect.json"
+    listed.write_text("[1, 2]")
+    code, _, err = run_cli(
+        capsys, "verify", "--config", "fixtures/desk.toml", "--expect", str(listed)
+    )
+    assert code == 2
+    assert "config error" in err and "not a JSON object" in err
 
 
 def test_bad_config_reports_line(tmp_path, capsys):

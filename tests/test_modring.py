@@ -12,6 +12,7 @@ from qr2m.modring import (
     quad_partition,
     residue_class_counts,
 )
+from qr2m.qr import _span_mul
 
 
 def test_modulus_bounds():
@@ -98,16 +99,34 @@ def test_shifted_class_counts_uniform():
 
 
 
-def test_class_masks_and_shifted_counts_match_reference():
+def test_class_masks_split_the_nonzero_residues():
     for p in range(3, 400):
         if not is_odd_prime(p) or p % 8 not in (1, 7):
             continue
         part = quad_partition(p)
         assert part.q_mask & part.n_mask == 0
         assert part.q_mask | part.n_mask == (1 << p) - 2
-        for cls, mask in ((part.q, part.q_mask), (part.n, part.n_mask)):
-            for i in range(-p, 2 * p):
-                assert part.shifted_counts(i, mask) == residue_class_counts(i, cls, p)
+        assert part.q_mask == sum(1 << j for j in range(1, p) if part.is_residue(j))
+
+
+@pytest.mark.parametrize("p", [7, 17, 23, 41, 47, 71, 73, 127, 257])
+def test_span_products_give_the_shifted_class_counts(p):
+    # #{j in S : i + j in Q} is the coefficient at i of e_{-S}*e1, and the
+    # same with N and e2; the span products give it as the coordinate of
+    # the class of i.  -S is S when -1 is a residue (p = 1 mod 8), and the
+    # other class when p = 7 mod 8, so both kinds of prime are covered.
+    part = quad_partition(p)
+    unit = {"q": (0, 1, 0), "n": (0, 0, 1)}
+    neg = {"q": "q", "n": "n"} if part.is_residue(p - 1) else {"q": "n", "n": "q"}
+    assert (p % 8 == 1) == (neg["q"] == "q")
+    big = 1 << 62
+    for s, cls in (("q", part.q), ("n", part.n)):
+        by_q = _span_mul(p, unit[neg[s]], unit["q"], big)
+        by_n = _span_mul(p, unit[neg[s]], unit["n"], big)
+        for i in range(-p, 2 * p):
+            at = part.classify(i)
+            counts = (by_q[at], by_n[at], len(cls) - by_q[at] - by_n[at])
+            assert counts == residue_class_counts(i, cls, p), (s, i)
 
 def test_family_params_table():
     cases = {

@@ -28,6 +28,10 @@ P1000_2000_GRID_SHA256 = "fa542b2f23b9cfd56194c8150aab2a40afedf8f4fd1493fdf46580
 # the same for the primes 2000 < p < 4000, frozen before block sets were
 # read off Gauss periods; that report has summary.failed == 0
 P2000_4000_GRID_SHA256 = "f401b198cb1daaef5cafc8a95348a9503f3206d927afa5e29a86218c09883790"
+# the same for the primes 8000 < p < 9000, frozen while the partition rows
+# still counted shifted classes by mask rotation and the span products were
+# four convolutions; that report has summary.failed == 0
+P8000_9000_GRID_SHA256 = "96d4d3010855b4f57edca453ef7b81823754bf74c5b6f6a36c26f7580e9cc02d"
 
 
 def desk_report():
@@ -179,37 +183,38 @@ def _family_triples(p, m) -> list[tuple]:
 
 
 def test_nonfamily_point_convolves_each_product_once(monkeypatch):
-    # the three basis products and h*h, once per prime at the modulus
-    # 2^bit_length(p) = 2^9; span idempotents are checked on the blocks
+    # e1*e1 and h*h, once per prime at the modulus 2^bit_length(p) = 2^9;
+    # e1*e2 and e2*e2 are derived from e1*e1, the partition rows read the
+    # same products, and span idempotents are checked on the blocks
     report, calls = _spied_calls(monkeypatch, 257, range(4, 9))
     assert _family_ms(report) == []
-    assert calls["ring_mul"] == [(257, 9)] * 4
-    assert calls["decompose_basis"] == ["_span_products"] * 4
+    assert calls["ring_mul"] == [(257, 9)] * 2
+    assert calls["decompose_basis"] == ["_span_products"] * 2
     assert calls["assemble_basis"] == []
 
 
 def test_family_point_convolves_only_route_b_and_the_lift(monkeypatch):
     # block sets and route B are taken in span coordinates; what is left
-    # is the four basis products at 2^7 and, at 2^8, the three
+    # is the two convolved basis products at 2^7 and, at 2^8, the three
     # lift_identification products and the lift_idempotent product
     report, calls = _spied_calls(monkeypatch, 127, [8])
     assert _family_ms(report) == [8]
-    assert sorted(calls["ring_mul"]) == [(127, 7)] * 4 + [(127, 8)] * 4
+    assert sorted(calls["ring_mul"]) == [(127, 7)] * 2 + [(127, 8)] * 4
     # the family is held as span triples: nothing is decomposed but the
     # basis products, and each idempotent is assembled once, for the rows
     # that read its vector
-    assert calls["decompose_basis"] == ["_span_products"] * 4
+    assert calls["decompose_basis"] == ["_span_products"] * 2
     assert sorted(calls["assemble_basis"]) == sorted(_family_triples(127, 8))
 
 
 def test_family_prime_convolves_the_lift_once_per_constructible_m(monkeypatch):
-    # four basis products for the prime, and four lift products at each m
-    # where the family is built
+    # two convolved basis products for the prime, and four lift products
+    # at each m where the family is built
     report, calls = _spied_calls(monkeypatch, 41, range(4, 9))
     ms = _family_ms(report)
     assert ms == [4]
-    assert sorted(calls["ring_mul"]) == sorted([(41, 6)] * 4 + [(41, m) for m in ms] * 4)
-    assert calls["decompose_basis"] == ["_span_products"] * 4
+    assert sorted(calls["ring_mul"]) == sorted([(41, 6)] * 2 + [(41, m) for m in ms] * 4)
+    assert calls["decompose_basis"] == ["_span_products"] * 2
     assert sorted(calls["assemble_basis"]) == sorted(
         t for m in ms for t in _family_triples(41, m)
     )
@@ -492,3 +497,11 @@ def test_p1000_2000_grid_report_is_frozen():
 def test_p2000_4000_grid_report_is_frozen():
     # 122 primes at m = 4..8, 610 points; about 10 s, in CI's slow step
     assert _grid_report_digest(4000, 2000) == (122, P2000_4000_GRID_SHA256)
+
+
+@pytest.mark.slow
+def test_p8000_9000_grid_report_is_frozen():
+    # 54 primes at m = 4..8, 270 points, where the per-prime p-length work
+    # (the basis products and the partition rows) outweighs the rest;
+    # about 10 to 20 s, in CI's slow step
+    assert _grid_report_digest(9000, 8000) == (54, P8000_9000_GRID_SHA256)
