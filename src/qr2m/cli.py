@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import padic
 from .errors import (
@@ -129,16 +132,96 @@ def load_config(path: str) -> SweepConfig:
     return parse_config_text(text)
 
 
-def _dump(obj: dict, output: str = "-") -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if output == "-":
-        print(text)
+# How _json_text writes a scalar, by its exact type.
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(obj) -> str:
+    """obj exactly as json.dumps(obj, indent=2, sort_keys=True) writes it.
+
+    Writes dict, list, tuple, str, int, bool and None.  Any other value,
+    a subclass of str or int among them, and any non-str key raise
+    TypeError.  json.dumps serves an indent with its pure-Python encoder,
+    a generator per container and several calls per value; here a scalar
+    is one table lookup and one C call, and only containers recurse.
+    """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    parts: list[str] = []
+    _write_container(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_container(obj, nl: str, put) -> None:
+    """Pass the text of a dict, list or tuple to put, its closing bracket after nl.
+
+    A module function rather than a closure: a closure that calls itself
+    is a reference cycle, which would keep every report's parts alive
+    until the cyclic collector runs.
+    """
+    inner = nl + "  "
+    after = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(obj):  # _encode_str raises TypeError on a non-str key
+            value = obj[key]
+            scalar = _SCALARS.get(type(value))
+            if scalar is not None:
+                put(sep + _encode_str(key) + ": " + scalar(value))
+            else:
+                put(sep + _encode_str(key) + ": ")
+                _write_container(value, inner, put)
+            sep = after
+        put(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            scalar = _SCALARS.get(type(value))
+            if scalar is not None:
+                put(sep + scalar(value))
+            else:
+                put(sep)
+                _write_container(value, inner, put)
+            sep = after
+        put(nl + "]")
     else:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write output {output}: {exc}")
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _open_output(path: str):
+    """Open path for writing without truncating it, so a bad path fails before a sweep."""
+    def no_truncate(name, flags):
+        return os.open(name, flags & ~os.O_TRUNC)
+
+    try:
+        return open(path, "w", encoding="utf-8", opener=no_truncate)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}")
+
+
+def _dump(obj: dict, out=None) -> None:
+    """Print obj as indented JSON, or write it over the file out from _open_output."""
+    text = _json_text(obj)
+    if out is None:
+        print(text)
+        return
+    try:
+        out.write(text + "\n")
+        out.truncate()
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out.name}: {exc}")
 
 
 def cmd_partition(args) -> int:
@@ -199,8 +282,9 @@ def cmd_family(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    report = run_verification(cfg.p_list, cfg.m_list, cfg.budget)
-    _dump(report, cfg.output)
+    with nullcontext() if cfg.output == "-" else _open_output(cfg.output) as out:
+        report = run_verification(cfg.p_list, cfg.m_list, cfg.budget)
+        _dump(report, out)
     status = 0 if report["summary"]["failed"] == 0 else 1
     if args.expect:
         try:

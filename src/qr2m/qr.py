@@ -89,7 +89,10 @@ def _span_products(p: int) -> tuple[tuple[int, int, int], ...]:
     and e2*e2 = |N|h - e2 - e1*e2.  h*h derived from the counts would leave
     the product_h_h row nothing computed.
     """
-    e1, _, h = basis_vectors(p, p.bit_length())
+    part = quad_partition(p)
+    bits = p.bit_length()
+    e1 = ZPoly.from_support(part.q, p, bits)
+    h = ZPoly(p, bits, (1,) * p)
     e11 = decompose_basis(ring_mul(e1, e1))
     hh = decompose_basis(ring_mul(h, h))
     if e11 is None or hh is None:
@@ -233,7 +236,7 @@ def _scan_span(p: int, m: int) -> list[tuple[int, int, int]]:
     """All span idempotents by exhaustive 2^(3m) triple scan.
 
     Not used by the library: the tests keep it as the independent oracle
-    that `span_idempotents` (digit lifting) is checked against.
+    that `span_idempotents` (one squaring per bit) is checked against.
     """
     mod = 1 << m
     found = []
@@ -246,18 +249,18 @@ def _scan_span(p: int, m: int) -> list[tuple[int, int, int]]:
 
 
 def _lift_span(p: int, m: int) -> list[tuple[int, int, int]]:
-    """All span idempotents by digit lifting, one modulus doubling at a time."""
+    """All span idempotents mod 2^m: a scan mod 2, then one squaring per bit.
+
+    The eight triples mod 2 are scanned.  Each idempotent s mod 2^j, j >= 1,
+    has exactly one idempotent lift mod 2^(j+1), its square: any lift
+    s + 2^j e has (s + 2^j e)^2 = s^2 mod 2^(j+1), so a lift equal to its
+    square is s^2, and s^2 is one, since s^2 = s + 2^j t gives
+    s^4 = s^2 mod 2^(j+1).  So every idempotent mod 2^m comes from exactly
+    one idempotent mod 2, and the lift costs 8m products.
+    """
     sols = [t for t in iter_product(range(2), repeat=3) if _span_mul(p, t, t, 2) == t]
     for j in range(1, m):
-        mod_next = 1 << (j + 1)
-        step = 1 << j
-        nxt = []
-        for a, b, c in sols:
-            for ea, eb, ec in iter_product(range(2), repeat=3):
-                cand = (a + ea * step, b + eb * step, c + ec * step)
-                if _span_mul(p, cand, cand, mod_next) == cand:
-                    nxt.append(cand)
-        sols = nxt
+        sols = [_span_mul(p, s, s, 1 << (j + 1)) for s in sols]
     return sols
 
 
@@ -265,15 +268,15 @@ def _lift_span(p: int, m: int) -> list[tuple[int, int, int]]:
 def span_idempotents(p: int, m: int) -> tuple[tuple[int, int, int], ...]:
     """Every (alpha, beta, gamma) making alpha + beta*e1 + gamma*e2 idempotent.
 
-    Digit lifting at every m: an idempotent mod 2^(j+1) reduces to one
-    mod 2^j, and all eight digit extensions of each are tried, so the
-    lift is complete.  Each survivor is re-verified on the blocks, where
-    an idempotent is 0 or 1, before being returned.
+    The idempotents mod 2 are found by scan and lifted one bit at a time by
+    squaring, which gives each its unique idempotent lift, so the set is
+    complete.  Each triple is re-verified on the blocks, where an
+    idempotent is 0 or 1, before being returned.
     """
     Modulus(m)
     triples = _lift_span(p, m)
     if any(block_set(p, m, t) is None for t in triples):
-        raise AssertionError("digit lifting produced a non-idempotent triple")
+        raise AssertionError("lifting by squaring produced a non-idempotent triple")
     return tuple(sorted(triples))
 
 
@@ -285,7 +288,8 @@ class IdempotentCoeffs:
     (scalar multiples of h plus constants) generate no residue/nonresidue
     asymmetry and are excluded here.  Idempotency is validated at
     construction by membership in span_idempotents, whose members are
-    complete (digit lifting) and each checked on the blocks there.
+    complete (each idempotent mod 2 lifted by squaring) and each checked
+    on the blocks there.
     """
 
     p: int

@@ -200,20 +200,16 @@ def _check_idempotents(rep: _Report, p: int, m: int, params) -> None:
 
 def _check_padic(rep: _Report, p: int, m: int, params) -> None:
     mod = 1 << m
-    ok = all(
-        padic.expand(t, p, m).value == padic.direct_value(t, p, m)
-        for t in padic.Target
-    )
+    expansions = {t: padic.expand(t, p, m) for t in padic.Target}
+    ok = all(e.value == padic.direct_value(t, p, m) for t, e in expansions.items())
     rep.row("digit_expansion_oracle", p, m, ok, "digits agree with direct inverses")
     inv = padic.direct_value(padic.Target.INV_P, p, m)
     rep.row("inverse_product", p, m, p * inv % mod == 1, f"p * {inv} = 1")
     if params is None:
         return
     ok = all(
-        padic.matches_template(
-            padic.expand(t, p, m), padic.expected_template(t, params.sign)
-        )
-        for t in padic.Target
+        padic.matches_template(e, padic.expected_template(t, params.sign))
+        for t, e in expansions.items()
     )
     rep.row("digit_templates", p, m, ok, "low digits follow the sign templates")
     if padic.inverse_equals_self(p, m):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -6,10 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qr2m
-from qr2m import qr
-from qr2m.cli import ConfigError, main, parse_config_text
+from qr2m import cli, qr
+from qr2m.cli import ConfigError, _json_text, main, parse_config_text
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +192,33 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, target):
     code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
     assert code == 2
     assert "config error: cannot write output" in err
+
+
+def test_unwritable_output_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "run_verification", refuse)
+    cfg = tmp_path / "sweep.toml"
+    cfg.write_text(f"p_list = [7]\nm_list = [4]\noutput = {tmp_path / 'missing' / 'out.json'}\n")
+    code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert "config error: cannot write output" in err
+
+
+def test_existing_output_is_kept_until_the_report_replaces_it(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    # longer than the report, so a write without truncation would leave a tail
+    old = "x" * 100_000
+    out.write_text(old)
+    for p, status in ((15, 2), (7, 0)):  # 15 is not prime: the sweep raises
+        cfg = tmp_path / f"sweep{p}.toml"
+        cfg.write_text(f"p_list = [{p}]\nm_list = [4]\noutput = {out}\n")
+        code, _, _ = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == status
+        if p == 15:
+            assert out.read_text() == old
+    assert json.loads(out.read_text())["summary"]["ok"] is True
 
 
 def test_non_object_expectation_is_a_config_error(tmp_path, capsys):
@@ -426,3 +456,47 @@ def test_weight_reports_are_frozen(capsys):
         code, out, _ = run_cli(capsys, *argv)
         h.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
     assert h.hexdigest() == WEIGHT_CALLS_SHA256
+
+
+json_scalars = (
+    st.text()
+    | st.integers(min_value=-(1 << 80), max_value=1 << 80)
+    | st.booleans()
+    | st.none()
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_report_writer_matches_indented_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_report_writer_escapes_like_json_dumps():
+    obj = {"\u00e9\u4e2d\U0001f600": ['"quoted"', "back\\slash", "\x00\t\n\x1f\x7f"]}
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [1.5, {1, 2}, {1: "a"}, {"a": [0.0]}, {"a": {None: 1}}])
+def test_report_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)
+
+
+def test_report_writer_leaves_no_reference_cycle():
+    # a cycle would hold each report's text parts until the collector ran,
+    # which raised the peak RSS of a verify sweep
+    gc.collect()
+    gc.disable()
+    try:
+        _json_text({"a": [{"b": 1, "c": (2, None)}], "d": []})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

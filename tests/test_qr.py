@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qr2m import qr
 from qr2m.errors import (
     BadModulus,
     BadResidueClass,
@@ -215,6 +216,22 @@ def test_degenerate_idempotents_satisfy_printed_system():
 def test_digit_lifting_agrees_with_exhaustive_scan():
     for p, m in ((7, 4), (7, 6), (17, 5), (23, 5)):
         assert sorted(_lift_span(p, m)) == sorted(_scan_span(p, m))
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_lift_makes_one_square_per_idempotent_and_bit(monkeypatch, m):
+    # eight products scan the triples mod 2, then each of the eight
+    # idempotents is squared once per further bit
+    calls = []
+    span_mul = qr._span_mul
+
+    def counted(*args):
+        calls.append(args)
+        return span_mul(*args)
+
+    monkeypatch.setattr(qr, "_span_mul", counted)
+    assert len(_lift_span(31, m)) == 8
+    assert len(calls) == 8 * m
 
 
 def test_solver_works_beyond_scan_range():
