@@ -203,7 +203,7 @@ def _write_container(obj, nl: str, put) -> None:
 def _open_output(path: str):
     """Open path for writing without truncating it, so a bad path fails before a sweep."""
     def no_truncate(name, flags):
-        return os.open(name, flags & ~os.O_TRUNC)
+        return os.open(name, flags & ~os.O_TRUNC, 0o666)  # open()'s own mode
 
     try:
         return open(path, "w", encoding="utf-8", opener=no_truncate)

@@ -252,9 +252,9 @@ def _lift_span(p: int, m: int) -> list[tuple[int, int, int]]:
     """All span idempotents mod 2^m: a scan mod 2, then one squaring per bit.
 
     The eight triples mod 2 are scanned.  Each idempotent s mod 2^j, j >= 1,
-    has exactly one idempotent lift mod 2^(j+1), its square: any lift
-    s + 2^j e has (s + 2^j e)^2 = s^2 mod 2^(j+1), so a lift equal to its
-    square is s^2, and s^2 is one, since s^2 = s + 2^j t gives
+    has exactly one idempotent lift mod 2^(j+1), namely s^2.  Any lift
+    s + 2^j e squares to s^2 mod 2^(j+1), so an idempotent lift equals s^2;
+    and s^2 is an idempotent lift, since s^2 = s + 2^j t gives
     s^4 = s^2 mod 2^(j+1).  So every idempotent mod 2^m comes from exactly
     one idempotent mod 2, and the lift costs 8m products.
     """

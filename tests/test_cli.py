@@ -221,6 +221,18 @@ def test_existing_output_is_kept_until_the_report_replaces_it(tmp_path, capsys):
     assert json.loads(out.read_text())["summary"]["ok"] is True
 
 
+def test_new_output_file_gets_the_mode_of_a_plain_open(tmp_path, capsys):
+    cfg = tmp_path / "sweep.toml"
+    out = tmp_path / "report.json"
+    cfg.write_text(f"p_list = [7]\nm_list = [4]\noutput = {out}\n")
+    code, _, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    plain = tmp_path / "plain.json"
+    with open(plain, "w"):
+        pass
+    assert out.stat().st_mode == plain.stat().st_mode
+
+
 def test_non_object_expectation_is_a_config_error(tmp_path, capsys):
     listed = tmp_path / "expect.json"
     listed.write_text("[1, 2]")
