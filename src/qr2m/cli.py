@@ -26,7 +26,7 @@ from .errors import (
     Qr2mError,
 )
 from .lincode import DEFAULT_BUDGET, code_from_polynomial, min_weight
-from .modring import Modulus, family_params, quad_partition
+from .modring import Modulus, family_params, quad_partition, require_qr_prime
 from .polyring import binary_qr_factors, hensel_lift_factors
 from .qr import (
     basis_vectors,
@@ -100,6 +100,11 @@ def parse_config_text(text: str) -> SweepConfig:
             raise ConfigError(f"missing required key {key!r}")
     lineno, value = seen["p_list"]
     p_list = _parse_int_list(value, lineno, "p_list")
+    for p in p_list:
+        try:
+            require_qr_prime(p)
+        except Qr2mError as exc:
+            raise ConfigError(f"line {lineno}: field p_list: {exc}")
     lineno, value = seen["m_list"]
     m_list = _parse_int_list(value, lineno, "m_list")
     for m in m_list:
@@ -280,23 +285,27 @@ def cmd_family(args) -> int:
     return 0
 
 
+def _load_expectation(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            expected = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read expectation file {path}: {exc}")
+    if not isinstance(expected, dict):
+        raise ConfigError(f"expectation file {path}: not a JSON object")
+    return expected
+
+
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
+    expected = _load_expectation(args.expect) if args.expect else None
     with nullcontext() if cfg.output == "-" else _open_output(cfg.output) as out:
         report = run_verification(cfg.p_list, cfg.m_list, cfg.budget)
         _dump(report, out)
     status = 0 if report["summary"]["failed"] == 0 else 1
-    if args.expect:
-        try:
-            with open(args.expect, encoding="utf-8") as fh:
-                expected = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read expectation file {args.expect}: {exc}")
-        if not isinstance(expected, dict):
-            raise ConfigError(f"expectation file {args.expect}: not a JSON object")
-        if expected.get("errata") != report["errata"]:
-            print("errata do not match expectation file", file=sys.stderr)
-            status = 1
+    if expected is not None and expected.get("errata") != report["errata"]:
+        print("errata do not match expectation file", file=sys.stderr)
+        status = 1
     return status
 
 

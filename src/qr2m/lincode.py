@@ -445,6 +445,128 @@ def _is_cyclic(c: LinearCode) -> bool:
     )
 
 
+# The scan holds n columns of 2^L bits; L keeps them near 2^23 bits, 1 MB.
+_SLICE_BITS = 1 << 23
+
+
+def _slice_rows(k: int, n: int) -> int:
+    """L, the number of socle rows one block of the bit-sliced scan spans:
+    at most 16, at most k, and with n * 2^L <= _SLICE_BITS when n allows."""
+    return max(0, min(16, k, (_SLICE_BITS // n).bit_length() - 1))
+
+
+def _gray_rank(g: int) -> int:
+    """The index i with i ^ (i >> 1) == g: each bit is the XOR of g's bits
+    at and above it."""
+    shift = 1
+    while g >> shift:
+        g ^= g >> shift
+        shift <<= 1
+    return g
+
+
+def _bit_sliced_sum(columns: Sequence[int]) -> list[int]:
+    """Planes of the lane-wise sum of 0/1 lanes: bit x of plane t is bit t
+    of the number of columns with bit x set.
+
+    A carry-save tree: full adders take three ints of one weight to their
+    sum at that weight and their carry at the next, five operations that
+    remove one int, until one int, the plane, is left at each weight.
+    """
+    planes = []
+    bits = list(columns)
+    while bits:
+        carries = []
+        while len(bits) > 1:
+            a, b = bits.pop(), bits.pop()
+            u = a ^ b
+            if bits:
+                c = bits.pop()
+                bits.append(u ^ c)
+                carries.append(a & b | u & c)
+            else:
+                bits.append(u)
+                carries.append(a & b)
+        planes.append(bits[0])
+        bits = carries
+    return planes
+
+
+def _lightest_socle_words(rows: Sequence[int], n: int) -> tuple[int, list[int]]:
+    """The least nonzero weight of the GF(2) span of rows (independent n-bit
+    masks) and its words of that weight, in the order a Gray code meets
+    them: word g, the XOR of the rows at the set bits of g, has Gray rank
+    _gray_rank(g).
+
+    Bit slicing: the 2^L words of the low L rows, L = _slice_rows, are
+    indexed by x and held as n column ints, bit x of column i being
+    coordinate i of word x, each built in L doubling steps.  A Gray code
+    over the high rows walks 2^(k-L) blocks; a step XORs full, the 2^L
+    ones, into the columns where the flipped high row has a 1, so block H
+    holds the words x ^ H.  The columns add into weight planes
+    (_bit_sliced_sum), and the planes, read from the top, narrow a lane
+    mask to the words of least weight: a plane's zeros among the remaining
+    lanes win when there are any.  The mask starts without x = 0 in the
+    block H = 0, the zero word, and ends as the equality mask of the
+    block's least nonzero weight.  The supports of those words are read
+    from two half-tables of the low rows.  Big ints here see only shifts,
+    XOR, AND and OR: no division, and no ~ (a complement is an XOR with
+    full).
+    """
+    size = _slice_rows(len(rows), n)
+    low, high = rows[:size], rows[size:]
+    full = (1 << (1 << size)) - 1
+    cols = [0] * n
+    for t, row in enumerate(low):
+        half = 1 << t
+        ones = (1 << half) - 1
+        for i in range(n):
+            col = cols[i]
+            cols[i] = col | (col ^ ones if row >> i & 1 else col) << half
+    split = size // 2
+    below = (1 << split) - 1
+    tables = []
+    for part in (low[:split], low[split:]):
+        table = [0]
+        for row in part:
+            table += [w ^ row for w in table]
+        tables.append(table)
+    lo, hi = tables
+    flips = [[i for i in range(n) if row >> i & 1] for row in high]
+    best = n + 1
+    found = []  # (Gray rank, word)
+    word = 0
+    for j in range(1 << len(high)):
+        if j:
+            t = (j & -j).bit_length() - 1
+            word ^= high[t]
+            for i in flips[t]:
+                cols[i] ^= full
+        planes = _bit_sliced_sum(cols)
+        lanes = full ^ 1 if j == 0 else full  # x = 0 in block 0 is the zero word
+        w = 0
+        for t in reversed(range(len(planes))):
+            zeros = lanes ^ (lanes & planes[t])
+            if zeros:
+                lanes = zeros
+            else:
+                w |= 1 << t
+        if not lanes or w > best:
+            continue
+        if w < best:
+            best, found = w, []
+        base = (j ^ (j >> 1)) << size
+        bits = format(lanes, "b")
+        top = len(bits) - 1
+        at = bits.find("1")
+        while at >= 0:
+            x = top - at
+            found.append((_gray_rank(base | x), lo[x & below] ^ hi[x >> split] ^ word))
+            at = bits.find("1", at + 1)
+    found.sort()
+    return best, [s for _, s in found]
+
+
 def min_weight(c: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
     """Exact minimum nonzero Hamming weight, its word count and parity.
 
@@ -455,14 +577,16 @@ def min_weight(c: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
     the shortened code C_S = C intersect span{e_i : i in S}.
 
     The socle is a GF(2) space: each canonical row, read as the n-bit mask
-    of its 2^(m-1) lanes, is a basis vector, and a Gray code visits all
-    2^k socle words with one XOR and one popcount a step.  When c is
-    cyclic, C_S shifted by one is C_(S+1), with the same weights and lane
-    sums, so one shortened code is enumerated per rotation orbit of
-    lightest supports (keyed by its least rotation) and its count is
-    multiplied by the orbit's size; otherwise every orbit is one support.
-    budget bounds the words enumerated, the socle plus every C_S, orbit
-    members included, and is checked before each enumeration.
+    of its 2^(m-1) lanes, is a basis vector, and _lightest_socle_words
+    weighs all 2^k socle words bit-sliced, up to 2^16 of them in a few
+    hundred big-int operations, returning the lightest in Gray-code order.
+    When c is cyclic, C_S shifted by one is C_(S+1), with the same weights
+    and lane sums, so one shortened code is enumerated per rotation orbit
+    of lightest supports, at the orbit's first lightest word, and its
+    count is multiplied by the orbit's size, the number of distinct
+    rotations of that word; otherwise every orbit is one support.  budget
+    bounds the words enumerated, the socle plus every C_S, orbit members
+    included, and is checked before each enumeration.
     """
     if c.is_zero:
         raise NoNonzeroWords("the zero code has no nonzero words")
@@ -473,30 +597,22 @@ def min_weight(c: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
         raise BudgetExceeded(
             f"2^{socle.log2_size} socle words exceed the budget of {budget}"
         )
-    # basis[t] is the support mask of row t - 1: bit t of the Gray index
-    # i flips at i = 2^t (mod 2^(t+1)), and (i & -i).bit_length() is t + 1
-    basis = [0] + [
-        sum(1 << i for i in range(n) if row >> (width * i + m - 1) & 1)
-        for row in socle.rows
-    ]
-    best = n + 1
-    lightest = []
-    word = 0
-    for i in range(1, 1 << len(socle.rows)):
-        word ^= basis[(i & -i).bit_length()]
-        w = word.bit_count()
-        if w > best:
-            continue
-        if w < best:
-            best = w
-            lightest = []
-        lightest.append(word)
+    best, lightest = _lightest_socle_words(
+        [
+            sum(1 << i for i in range(n) if row >> (width * i + m - 1) & 1)
+            for row in socle.rows
+        ],
+        n,
+    )
     if _is_cyclic(c):
         full = (1 << n) - 1
-        orbits = Counter(
-            min(((s << t) | (s >> (n - t))) & full for t in range(n))
-            for s in lightest
-        )
+        orbits = {}
+        seen: set[int] = set()
+        for s in lightest:
+            if s not in seen:
+                turns = {((s << t) | (s >> (n - t))) & full for t in range(n)}
+                seen |= turns
+                orbits[s] = len(turns)
     else:
         orbits = Counter(lightest)
     count = 0

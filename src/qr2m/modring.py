@@ -102,12 +102,18 @@ class QuadPartition:
         return sum(1 << j for j in self.n)
 
 
-@lru_cache(maxsize=None)
-def quad_partition(p: int) -> QuadPartition:
-    """Split {1..p-1} by squaring; requires prime p = +-1 mod 8, p <= MAX_P."""
+def require_qr_prime(p: int) -> None:
+    """Raise what quad_partition raises for p: PrimeTooLarge, NotPrime or
+    BadResidueClass, unless p is an odd prime = +-1 mod 8 and p <= MAX_P."""
     _require_odd_prime(p)
     if p % 8 not in (1, 7):
         raise BadResidueClass(f"{p} is not +-1 mod 8 (p mod 8 = {p % 8})")
+
+
+@lru_cache(maxsize=None)
+def quad_partition(p: int) -> QuadPartition:
+    """Split {1..p-1} by squaring; requires prime p = +-1 mod 8, p <= MAX_P."""
+    require_qr_prime(p)
     squares = sorted({i * i % p for i in range(1, p)})
     q = tuple(squares)
     qset = set(squares)

@@ -243,6 +243,40 @@ def test_non_object_expectation_is_a_config_error(tmp_path, capsys):
     assert "config error" in err and "not a JSON object" in err
 
 
+@pytest.mark.parametrize(
+    "p,fragment",
+    [(15, "not an odd prime"), (11, "not +-1 mod 8"), ((1 << 20) + 7, "exceeds the bound")],
+)
+def test_bad_p_list_entry_fails_before_any_file_is_made(tmp_path, capsys, p, fragment):
+    cfg = tmp_path / "sweep.toml"
+    out = tmp_path / "report.json"
+    cfg.write_text(f"m_list = [4]\np_list = [7, {p}]\noutput = {out}\n")
+    code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert "config error: line 2: field p_list" in err and fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+def test_bad_expectation_fails_before_the_sweep(tmp_path, capsys, monkeypatch, text):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "run_verification", refuse)
+    expect = tmp_path / "expect.json"
+    if text is not None:
+        expect.write_text(text)
+    cfg = tmp_path / "sweep.toml"
+    out = tmp_path / "report.json"
+    cfg.write_text(f"p_list = [7]\nm_list = [4]\noutput = {out}\n")
+    code, _, err = run_cli(
+        capsys, "verify", "--config", str(cfg), "--expect", str(expect)
+    )
+    assert code == 2
+    assert "config error" in err and "expectation file" in err
+    assert not out.exists()
+
+
 def test_bad_config_reports_line(tmp_path, capsys):
     cfg = tmp_path / "bad.toml"
     cfg.write_text("p_list = [7]\nwidth = 3\n")
@@ -460,9 +494,7 @@ WEIGHT_CALLS = (
 WEIGHT_CALLS_SHA256 = "afab54f0815f4159e74e86da67e60e5a4a99fa2065cb42c0e47fcec6e18d9adf"
 
 
-@pytest.mark.slow
 def test_weight_reports_are_frozen(capsys):
-    # about a second, so it runs only in CI's slow step (pytest -m slow)
     h = hashlib.sha256()
     for argv in WEIGHT_CALLS:
         code, out, _ = run_cli(capsys, *argv)

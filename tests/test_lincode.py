@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from operator import mul
 
 import pytest
@@ -26,6 +27,7 @@ from qr2m.lincode import (
     sum_codes,
 )
 from qr2m.polyring import ZPoly
+from qr2m.qr import lifted_residue_code
 
 
 def brute_span(rows, n, m):
@@ -195,6 +197,83 @@ def test_min_weight_parity_of_all_ones_ideal():
     assert report.min_weight_count == 15
     # 7 is odd, so no nonzero scalar multiple has coordinate sum 0 mod 16
     assert report.all_min_odd_like is True
+
+
+def gray_walk_lightest(rows, n):
+    """The least nonzero weight of the GF(2) span of rows (n-bit masks) and
+    its words of that weight, met by a Gray code: step i XORs in row t,
+    where t is the number of trailing zeros of i."""
+    basis = [0] + list(rows)
+    best = n + 1
+    lightest = []
+    word = 0
+    for i in range(1, 1 << len(rows)):
+        word ^= basis[(i & -i).bit_length()]
+        w = word.bit_count()
+        if w > best:
+            continue
+        if w < best:
+            best = w
+            lightest = []
+        lightest.append(word)
+    return best, lightest
+
+
+@st.composite
+def independent_masks(draw):
+    """(n, rows): 1..19 independent n-bit masks, n <= 40.  Distinct lowest
+    set bits make the rows independent; row additions then mix them."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, min(n, 19)))
+    rows = [
+        1 << pivot | draw(st.integers(0, (1 << (n - pivot - 1)) - 1)) << (pivot + 1)
+        for pivot in draw(st.permutations(range(n)))[:k]
+    ]
+    pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    for t, s in draw(st.lists(pairs, max_size=2 * k)):
+        if s != t:
+            rows[t] ^= rows[s]
+    return n, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(independent_masks())
+@example((19, [1 << i for i in range(19)]))
+@example((40, [0b1011 << i for i in range(18)]))
+def test_bit_sliced_scan_matches_the_gray_walk(case):
+    n, rows = case
+    assert lincode._lightest_socle_words(rows, n) == gray_walk_lightest(rows, n)
+
+
+def test_bit_sliced_scan_of_the_41_21_qr_socle():
+    # the binary [41, 21, 9] QR code is its own socle at m = 1: 2^21 words
+    # in 32 blocks of 2^16, with 410 words of weight 9 in 10 rotation orbits
+    code = lifted_residue_code(41, 1)
+    rows = [sum(x << i for i, x in enumerate(row)) for row in code.gen]
+    assert len(rows) == 21
+    best, lightest = lincode._lightest_socle_words(rows, 41)
+    assert best == 9
+    assert len(lightest) == len(set(lightest)) == 410
+    assert all(w.bit_count() == 9 for w in lightest)
+    full = (1 << 41) - 1
+    assert {(w << 1 | w >> 40) & full for w in lightest} == set(lightest)
+
+
+def test_bit_sliced_scan_at_large_length_keeps_its_columns_small():
+    # 4099 columns of 2^14 bits would be 8 MB; L shrinks to 10, 512 KB
+    n, k = 4099, 14
+    size = lincode._slice_rows(k, n)
+    assert size == 10 and n << size <= lincode._SLICE_BITS
+    rng = random.Random(53)
+    rows = [1 << i | rng.getrandbits(n - i - 1) << (i + 1) for i in range(k)]
+    tracemalloc.start()
+    try:
+        scanned = lincode._lightest_socle_words(rows, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # about 1.4 MB; 13 MB with L = 14
+    assert scanned == gray_walk_lightest(rows, n)
 
 
 def cyclotomic(d):
