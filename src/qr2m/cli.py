@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure or expectation mismatch,
 2 usage or configuration error, 3 when the exact minimum-weight route
-would enumerate more words (socle plus shortened codes) than the budget.
+would cover more words than the budget: the socle words it weighs plus
+the shortened-code words its count covers.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from .errors import (
     OutOfFamilyRange,
     Qr2mError,
 )
-from .lincode import DEFAULT_BUDGET, code_from_polynomial, min_weight
+from .lincode import DEFAULT_BUDGET, code_from_divisor, min_weight
 from .modring import Modulus, family_params, quad_partition, require_qr_prime
-from .polyring import binary_qr_factors, hensel_lift_factors
 from .qr import (
-    basis_vectors,
     build_family,
+    lifted_factors,
     lifted_residue_code,
     product_identities_report,
     solve_idempotent_system,
@@ -316,8 +316,8 @@ def _resolve_weight_code(p: int, m: int, name: str):
     if name == "lift":
         return lifted_residue_code(p, m)
     if name == "ones":
-        _, _, h = basis_vectors(p, m)
-        return code_from_polynomial(h)
+        quad_partition(p)  # a bad p raises before a p-sized list is built
+        return code_from_divisor([1] * p, p, m)  # h = (x^p - 1)/(x - 1)
     fam = build_family(p, m)
     return {
         "q": fam.q,
@@ -381,8 +381,8 @@ def cmd_padic(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    # hensel_lift_factors checks the product and raises NotCoprime if it fails
-    lifted = hensel_lift_factors(binary_qr_factors(args.p), args.m)
+    # the lift checks the product and raises NotCoprime if it fails
+    lifted = lifted_factors(args.p, args.m)
     _dump(
         {
             "schema_version": SCHEMA_VERSION,
@@ -424,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="most words the exact route may enumerate: socle plus shortened codes",
+        help="most words the exact route may cover: socle words weighed plus "
+        "shortened-code words counted",
     )
     wp.add_argument(
         "--exhaustive",

@@ -66,7 +66,7 @@ class BadPosition(Qr2mError):
 
 
 class BudgetExceeded(Qr2mError):
-    """The exact minimum-weight route would enumerate more words than the budget."""
+    """The exact minimum-weight route would cover more words than the budget."""
 
 
 class NoNonzeroWords(Qr2mError):

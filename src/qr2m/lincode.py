@@ -399,31 +399,6 @@ def is_even_like(v: Sequence[int], m: int) -> bool:
     return sum(v) % Modulus(m).value == 0
 
 
-def _scan_words(words: Iterable[int], c: LinearCode) -> WeightReport:
-    """Weight report over packed words shaped like c.  Adding 2^m - 1 to each
-    lane sets bit m of the nonzero ones; mod 2^W - 1 a word is its lane sum."""
-    n, m, width, fill = c.n, c.m, c._width, c._low
-    flags = _ones(n, width) << m
-    fold = (1 << width) - 1
-    mask = (1 << m) - 1
-    best = n + 1
-    count = 0
-    all_odd = True
-    for word in words:
-        w = ((word + fill) & flags).bit_count()
-        if w == 0 or w > best:
-            continue
-        odd = (word % fold) & mask != 0
-        if w < best:
-            best, count, all_odd = w, 1, odd
-        else:
-            count += 1
-            all_odd = all_odd and odd
-    if best > n:
-        raise NoNonzeroWords("the zero code has no nonzero words")
-    return WeightReport(best, count, all_odd, enumerated=True)
-
-
 def _coordinate_code(n: int, m: int, support: Iterable[int], scale: int) -> LinearCode:
     """The span of scale * e_i over the coordinates i in support, a set.
 
@@ -574,23 +549,37 @@ def min_weight(c: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
     C[2] = C intersect 2^(m-1) * Z^n and its support lies inside supp(w).
     So the lightest socle words carry exactly the supports S of the
     minimum-weight words of C, and those words are the nonzero words of
-    the shortened code C_S = C intersect span{e_i : i in S}.
+    the shortened code C_S = C intersect span{e_i : i in S}.  Let d = |S|
+    be the minimum weight and s the socle word on S.  Three facts give
+    the count and parity without enumerating C_S:
+
+    1. Every nonzero word of C_S has support inside S and weight at least
+       d, so its support is exactly S: C_S adds |C_S| - 1 minimum-weight
+       words.
+    2. A socle word is 2^(m-1) times a 0/1 vector, so its support fixes
+       it, and the socle of C_S is {0, s}.  A finite Z/2^m-module meets
+       the kernel of the coordinate sum trivially exactly when its socle
+       does, and the coordinate sum of s is 2^(m-1) * d.  So every
+       minimum-weight word is odd-like exactly when d is odd.
+    3. C_S is the kernel of the projection of C onto the coordinates
+       outside S, so log2 |C_S| is log2 |C| minus log2 of the size of
+       the Howell form of C's rows with the lanes of S masked off.
 
     The socle is a GF(2) space: each canonical row, read as the n-bit mask
     of its 2^(m-1) lanes, is a basis vector, and _lightest_socle_words
     weighs all 2^k socle words bit-sliced, up to 2^16 of them in a few
     hundred big-int operations, returning the lightest in Gray-code order.
-    When c is cyclic, C_S shifted by one is C_(S+1), with the same weights
-    and lane sums, so one shortened code is enumerated per rotation orbit
-    of lightest supports, at the orbit's first lightest word, and its
-    count is multiplied by the orbit's size, the number of distinct
-    rotations of that word; otherwise every orbit is one support.  budget
-    bounds the words enumerated, the socle plus every C_S, orbit members
-    included, and is checked before each enumeration.
+    When c is cyclic, C_S shifted by one is C_(S+1), of the same size, so
+    one shortened code is sized per rotation orbit of lightest supports,
+    at the orbit's first lightest word, and its count is multiplied by
+    the orbit's size, the number of distinct rotations of that word;
+    otherwise every orbit is one support.  budget bounds the socle words
+    plus the words of every C_S the count covers, orbit members included,
+    and is checked as each orbit is sized.
     """
     if c.is_zero:
         raise NoNonzeroWords("the zero code has no nonzero words")
-    n, m, width = c.n, c.m, c._width
+    n, m, width, low = c.n, c.m, c._width, c._low
     socle = intersect(c, _coordinate_code(n, m, range(n), 1 << (m - 1)))
     spent = 1 << socle.log2_size
     if spent > budget:
@@ -616,19 +605,20 @@ def min_weight(c: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
     else:
         orbits = Counter(lightest)
     count = 0
-    all_odd = True
     for rep, size in orbits.items():
-        support = [i for i in range(n) if rep >> i & 1]
-        short = intersect(c, _coordinate_code(n, m, support, 1))
-        spent += size << short.log2_size
+        lanes = sum(1 << (width * i) for i in range(n) if rep >> i & 1)
+        keep = low ^ ((1 << m) - 1) * lanes
+        outside = _howell([row & keep for row in c.rows], n, m, width)
+        short = c.log2_size - sum(
+            m - ((r & -r).bit_length() - 1) % width for r in outside
+        )
+        spent += size << short
         if spent > budget:
             raise BudgetExceeded(
                 f"{spent} socle and shortened-code words exceed the budget of {budget}"
             )
-        report = _scan_words(short._words(), c)
-        count += size * report.min_weight_count
-        all_odd = all_odd and report.all_min_odd_like
-    return WeightReport(best, count, all_odd, enumerated=True)
+        count += size * ((1 << short) - 1)
+    return WeightReport(best, count, best % 2 == 1, enumerated=True)
 
 
 def extend(c: LinearCode) -> LinearCode:

@@ -48,14 +48,6 @@ class Modulus:
         return 1 << self.m
 
 
-def _require_odd_prime(p: int) -> None:
-    """Raise PrimeTooLarge above MAX_P, before any trial division, or NotPrime."""
-    if isinstance(p, int) and p > MAX_P:
-        raise PrimeTooLarge(f"p = {p} exceeds the bound MAX_P = {MAX_P}")
-    if not is_odd_prime(p):
-        raise NotPrime(f"{p} is not an odd prime")
-
-
 def is_odd_prime(p: int) -> bool:
     """Trial-division primality test, adequate for desk-scale p."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
@@ -104,8 +96,12 @@ class QuadPartition:
 
 def require_qr_prime(p: int) -> None:
     """Raise what quad_partition raises for p: PrimeTooLarge, NotPrime or
-    BadResidueClass, unless p is an odd prime = +-1 mod 8 and p <= MAX_P."""
-    _require_odd_prime(p)
+    BadResidueClass, unless p is an odd prime = +-1 mod 8 and p <= MAX_P.
+    PrimeTooLarge comes before any trial division."""
+    if isinstance(p, int) and p > MAX_P:
+        raise PrimeTooLarge(f"p = {p} exceeds the bound MAX_P = {MAX_P}")
+    if not is_odd_prime(p):
+        raise NotPrime(f"{p} is not an odd prime")
     if p % 8 not in (1, 7):
         raise BadResidueClass(f"{p} is not +-1 mod 8 (p mod 8 = {p % 8})")
 
@@ -160,9 +156,7 @@ def family_params(p: int, m: int) -> FamilyParams:
     which puts k in 1..2^(m-3) - 1.  Residues 1 and -1 mod 2^m are
     excluded from the family and raise OutOfFamilyRange.
     """
-    _require_odd_prime(p)
-    if p % 8 not in (1, 7):
-        raise BadResidueClass(f"{p} is not +-1 mod 8")
+    require_qr_prime(p)
     if m < 4:
         raise NoValidK(f"family parameters need m >= 4, got m={m}")
     modulus = Modulus(m).value

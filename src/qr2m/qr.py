@@ -25,7 +25,7 @@ from .errors import (
     PreconditionSignMismatch,
     ShapeMismatch,
 )
-from .lincode import LinearCode, code_from_divisor, code_from_polynomial
+from .lincode import LinearCode, code_from_divisor
 from .modring import FamilyParams, Modulus, family_params, quad_partition
 from .polyring import (
     FactorSet,
@@ -371,8 +371,9 @@ def lifted_factors(p: int, m: int) -> FactorSet:
 
 @lru_cache(maxsize=None)
 def lifted_residue_code(p: int, m: int) -> LinearCode:
-    """The cyclic code generated by the lifted residue-side factor of x^p-1."""
-    return code_from_polynomial(lifted_factors(p, m).f_q)
+    """The cyclic code generated by the lifted residue-side factor of x^p-1,
+    a monic divisor of x^p - 1, so code_from_divisor reads the code off it."""
+    return code_from_divisor(_from_zpoly(lifted_factors(p, m).f_q), p, m)
 
 
 # The blocks of R_p = R/(x - 1) x R/(f_q) x R/(f_n), in lifted-factor order.

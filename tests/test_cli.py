@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qr2m
-from qr2m import cli, qr
+from qr2m import cli, lincode, qr
 from qr2m.cli import ConfigError, _json_text, main, parse_config_text
 
 
@@ -500,6 +500,48 @@ def test_weight_reports_are_frozen(capsys):
         code, out, _ = run_cli(capsys, *argv)
         h.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
     assert h.hexdigest() == WEIGHT_CALLS_SHA256
+
+
+# the points of the weight benchmark, as (code, p, m)
+WEIGHT_BENCH_POINTS = (
+    ("lift", 7, 3), ("lift", 7, 4), ("lift", 7, 5), ("lift", 17, 1),
+    ("lift", 17, 2), ("lift", 23, 1), ("lift", 31, 1), ("q", 7, 4), ("n", 7, 4),
+)
+
+
+@pytest.mark.parametrize("name,p,m", WEIGHT_BENCH_POINTS)
+def test_min_weight_intersects_only_for_the_socle(monkeypatch, name, p, m):
+    # the shortened codes are sized by a projection, not built by intersect
+    code = cli._resolve_weight_code(p, m, name)
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    real = lincode.intersect
+    monkeypatch.setattr(lincode, "intersect", spy)
+    lincode.min_weight(code)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [7, 17, 23, 31, 41])
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_divisor_built_weight_codes_match_rotation_spans(p, m):
+    lifted = qr.lifted_factors(p, m)
+    assert qr.lifted_residue_code(p, m) == lincode.code_from_polynomial(lifted.f_q)
+    _, _, h = qr.basis_vectors(p, m)
+    ones = cli._resolve_weight_code(p, m, "ones")
+    assert ones == lincode.code_from_polynomial(h)
+
+
+@pytest.mark.parametrize("p", ("2", "9", "11", "2305843009213693951"))
+def test_bad_p_for_the_ones_code_exits_2(capsys, p):
+    # p is checked before the p-sized generator [1] * p is built
+    code, _, err = run_cli(capsys, "weight", p, "4", "--code", "ones")
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 json_scalars = (
