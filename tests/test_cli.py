@@ -513,13 +513,13 @@ WEIGHT_BENCH_POINTS = (
 def test_min_weight_intersects_only_for_the_socle(monkeypatch, name, p, m):
     # the shortened codes are sized by a projection, not built by intersect
     code = cli._resolve_weight_code(p, m, name)
+    real = lincode.intersect
     calls = []
 
     def spy(a, b):
         calls.append((a, b))
         return real(a, b)
 
-    real = lincode.intersect
     monkeypatch.setattr(lincode, "intersect", spy)
     lincode.min_weight(code)
     assert len(calls) == 1
