@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -27,7 +26,7 @@ from .errors import (
     Qr2mError,
 )
 from .lincode import DEFAULT_BUDGET, code_from_divisor, min_weight
-from .modring import Modulus, family_params, quad_partition, require_qr_prime
+from .modring import Modulus, Record, family_params, quad_partition, require_qr_prime
 from .qr import (
     build_family,
     lifted_factors,
@@ -43,22 +42,26 @@ class ConfigError(Qr2mError):
     pass
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """Parsed sweep configuration for the verify command.
 
     budget is echoed into the report's config.budget and read by no check;
     format is validated as json or csv, but the report is always JSON.
     """
 
-    p_list: tuple[int, ...]
-    m_list: tuple[int, ...]
-    budget: int = 1 << 16
-    output: str = "-"
-    format: str = "json"
+    _fields = ("p_list", "m_list", "budget", "output", "format")
 
-
-_CONFIG_KEYS = ("p_list", "m_list", "budget", "output", "format")
+    def __init__(
+        self,
+        p_list: tuple[int, ...],
+        m_list: tuple[int, ...],
+        budget: int = 1 << 16,
+        output: str = "-",
+        format: str = "json",
+    ) -> None:
+        self.__dict__.update(
+            p_list=p_list, m_list=m_list, budget=budget, output=output, format=format
+        )
 
 
 def _parse_int(token: str, lineno: int, key: str) -> int:
@@ -90,7 +93,7 @@ def parse_config_text(text: str) -> SweepConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in SweepConfig._fields:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -110,22 +113,22 @@ def parse_config_text(text: str) -> SweepConfig:
     for m in m_list:
         if not 4 <= m <= 8:
             raise ConfigError(f"line {lineno}: field m_list: m={m} outside 4..8")
-    budget = SweepConfig.budget
+    optional = {}  # a key left out takes SweepConfig's default
     if "budget" in seen:
         lineno, value = seen["budget"]
         budget = _parse_int(value, lineno, "budget")
         if budget <= 0:
             raise ConfigError(f"line {lineno}: field budget: must be positive")
-    output = SweepConfig.output
+        optional["budget"] = budget
     if "output" in seen:
-        output = seen["output"][1].strip("\"'")
-    fmt = SweepConfig.format
+        optional["output"] = seen["output"][1].strip("\"'")
     if "format" in seen:
         lineno, value = seen["format"]
         fmt = value.strip("\"'")
         if fmt not in ("json", "csv"):
             raise ConfigError(f"line {lineno}: field format: {fmt!r} not json or csv")
-    return SweepConfig(p_list=p_list, m_list=m_list, budget=budget, output=output, format=fmt)
+        optional["format"] = fmt
+    return SweepConfig(p_list, m_list, **optional)
 
 
 def load_config(path: str) -> SweepConfig:

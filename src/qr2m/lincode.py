@@ -12,7 +12,6 @@ matrix comparison.  No floating point, no column permutations.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, Sequence
@@ -23,7 +22,7 @@ from .errors import (
     NoNonzeroWords,
     ShapeMismatch,
 )
-from .modring import Modulus
+from .modring import Modulus, Record
 from .polyring import ZPoly, _byte_lanes, _ones, _pack, _unpack, mu_map
 
 DEFAULT_BUDGET = 1 << 20
@@ -99,18 +98,16 @@ def _howell(rows: Iterable[int], n: int, m: int, width: int) -> list[int]:
     return [piv[c][1] for c in cols]
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(Record):
     """A submodule of Z_{2^m}^n held by its canonical (Howell) rows, each
     lane-packed in lanes of _lane_width(n, m) bits; gen is the tuple view."""
 
-    n: int
-    m: int
-    rows: tuple[int, ...]
+    _fields = ("n", "m", "rows")
 
-    def __post_init__(self) -> None:
-        Modulus(self.m)
-        if any(row & ~self._low for row in self.rows):
+    def __init__(self, n: int, m: int, rows: tuple[int, ...]) -> None:
+        Modulus(m)
+        self.__dict__.update(n=n, m=m, rows=rows)
+        if any(row & ~self._low for row in rows):
             raise ValueError("generator row has an entry outside 0..2^m - 1")
 
     @cached_property
@@ -191,7 +188,13 @@ class LinearCode:
             else:
                 return
 
-    def codewords(self) -> Iterator[tuple[int, ...]]:
+    def codewords(self, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
+        """Every codeword once; a code of more than budget words raises
+        BudgetExceeded here, before the first word."""
+        if self.log2_size >= budget.bit_length():
+            raise BudgetExceeded(
+                f"2^{self.log2_size} codewords exceed the budget of {budget}"
+            )
         return map(self._entries, self._words())
 
 
@@ -376,14 +379,24 @@ def is_self_orthogonal(c: LinearCode) -> bool:
     return orthogonal(c, c)
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(Record):
     """Minimum Hamming weight data for one code."""
 
-    min_weight: int
-    min_weight_count: int
-    all_min_odd_like: bool | None
-    enumerated: bool
+    _fields = ("min_weight", "min_weight_count", "all_min_odd_like", "enumerated")
+
+    def __init__(
+        self,
+        min_weight: int,
+        min_weight_count: int,
+        all_min_odd_like: bool | None,
+        enumerated: bool,
+    ) -> None:
+        self.__dict__.update(
+            min_weight=min_weight,
+            min_weight_count=min_weight_count,
+            all_min_odd_like=all_min_odd_like,
+            enumerated=enumerated,
+        )
 
     def as_dict(self) -> dict:
         return {

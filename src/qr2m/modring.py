@@ -8,12 +8,12 @@ numbers of order 2 that the verifier reads off the basis products in
 `qr`.  A partition also holds each class as a p-bit mask (bit j set for j
 in the class), which the binary factorization of x^p - 1 reads.
 `family_params` locates p relative to 2^m as p = +-(8k - 1), which is the
-congruence every construction case keys on.
+congruence every construction case keys on.  `Record` is the base of the
+package's value classes, here and in the modules that import this one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
@@ -33,15 +33,53 @@ MAX_M = 62
 MAX_P = 1 << 20
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Record:
+    """An immutable value named by its fields.
+
+    A subclass lists its fields in _fields and stores them from its own
+    __init__ into __dict__, which functools.cached_property also fills.
+    Records of the same class are equal when their fields are, and hash
+    and print by them; assigning or deleting an attribute raises.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        d, e = self.__dict__, other.__dict__
+        for f in self._fields:
+            if d[f] != e[f]:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Modulus(Record):
     """Exponent m of a power-of-two modulus, 1 <= m <= 62."""
 
-    m: int
+    _fields = ("m",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or not 1 <= self.m <= MAX_M:
-            raise BadModulus(f"modulus exponent must be in 1..{MAX_M}, got {self.m!r}")
+    def __init__(self, m: int) -> None:
+        if not isinstance(m, int) or not 1 <= m <= MAX_M:
+            raise BadModulus(f"modulus exponent must be in 1..{MAX_M}, got {m!r}")
+        self.__dict__["m"] = m
 
     @property
     def value(self) -> int:
@@ -60,13 +98,13 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class QuadPartition:
+class QuadPartition(Record):
     """The partition of {1..p-1} into residues q and nonresidues n."""
 
-    p: int
-    q: tuple[int, ...]
-    n: tuple[int, ...]
+    _fields = ("p", "q", "n")
+
+    def __init__(self, p: int, q: tuple[int, ...], n: tuple[int, ...]) -> None:
+        self.__dict__.update(p=p, q=q, n=n)
 
     def classify(self, i: int) -> int:
         """Return 0 for i = 0 mod p, 1 for a residue, 2 for a nonresidue."""
@@ -133,14 +171,13 @@ def residue_class_counts(i: int, s: Iterable[int], p: int) -> tuple[int, int, in
     return counts[1], counts[2], counts[0]
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
     """Location of p relative to 2^m: p = sign * (8k - 1) mod 2^m."""
 
-    p: int
-    m: int
-    k: int
-    sign: int
+    _fields = ("p", "m", "k", "sign")
+
+    def __init__(self, p: int, m: int, k: int, sign: int) -> None:
+        self.__dict__.update(p=p, m=m, k=k, sign=sign)
 
     @property
     def h_multiplier(self) -> int:

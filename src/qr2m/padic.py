@@ -9,10 +9,9 @@ bug in either one trips the comparison loudly instead of propagating.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import Qr2mError, TemplateNeedsM4
-from .modring import Modulus
+from .modring import Modulus, Record
 
 
 class Target(enum.Enum):
@@ -31,17 +30,16 @@ class Template(enum.Enum):
     LOW100 = (1, 0, 0)
 
 
-@dataclass(frozen=True)
-class PadicExpansion:
+class PadicExpansion(Record):
     """m binary digits, least significant first."""
 
-    m: int
-    digits: tuple[int, ...]
+    _fields = ("m", "digits")
 
-    def __post_init__(self) -> None:
-        Modulus(self.m)
-        if len(self.digits) != self.m or any(d not in (0, 1) for d in self.digits):
+    def __init__(self, m: int, digits: tuple[int, ...]) -> None:
+        Modulus(m)
+        if len(digits) != m or any(d not in (0, 1) for d in digits):
             raise ValueError("digits must be m values in {0, 1}")
+        self.__dict__.update(m=m, digits=digits)
 
     @property
     def value(self) -> int:

@@ -25,7 +25,6 @@ the gcds behind the binary factorization are shifts and XORs.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Sequence
@@ -36,28 +35,28 @@ from .errors import (
     NotCoprimeCofactor,
     ShapeMismatch,
 )
-from .modring import Modulus, quad_partition
+from .modring import Modulus, Record, quad_partition
 
 
-@dataclass(frozen=True)
-class ZPoly:
-    """Element of Z_{2^m}[x]/(x^n - 1) as n coefficients, constant first."""
+class ZPoly(Record):
+    """Element of Z_{2^m}[x]/(x^n - 1) as n coefficients, constant first.
 
-    n: int
-    m: int
-    coeffs: tuple[int, ...]
+    The constructor checks the shape and reduces the coefficients mod 2^m;
+    results already in range are built by _zpoly, which checks nothing.
+    """
 
-    def __post_init__(self) -> None:
-        Modulus(self.m)
-        if self.n < 1:
-            raise ValueError(f"ring length must be positive, got {self.n}")
-        if len(self.coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(self.coeffs)}")
-        modulus = 1 << self.m
-        if min(self.coeffs) < 0 or max(self.coeffs) >= modulus:
-            object.__setattr__(
-                self, "coeffs", tuple(c % modulus for c in self.coeffs)
-            )
+    _fields = ("n", "m", "coeffs")
+
+    def __init__(self, n: int, m: int, coeffs: tuple[int, ...]) -> None:
+        Modulus(m)
+        if n < 1:
+            raise ValueError(f"ring length must be positive, got {n}")
+        if len(coeffs) != n:
+            raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
+        modulus = 1 << m
+        if min(coeffs) < 0 or max(coeffs) >= modulus:
+            coeffs = tuple(c % modulus for c in coeffs)
+        self.__dict__.update(n=n, m=m, coeffs=coeffs)
 
     @classmethod
     def zero(cls, n: int, m: int) -> "ZPoly":
@@ -106,7 +105,7 @@ class ZPoly:
     def __add__(self, other: "ZPoly") -> "ZPoly":
         self._check_shape(other)
         mod = 1 << self.m
-        return ZPoly(
+        return _zpoly(
             self.n, self.m,
             tuple((a + b) % mod for a, b in zip(self.coeffs, other.coeffs)),
         )
@@ -114,21 +113,21 @@ class ZPoly:
     def __sub__(self, other: "ZPoly") -> "ZPoly":
         self._check_shape(other)
         mod = 1 << self.m
-        return ZPoly(
+        return _zpoly(
             self.n, self.m,
             tuple((a - b) % mod for a, b in zip(self.coeffs, other.coeffs)),
         )
 
     def __neg__(self) -> "ZPoly":
         mod = 1 << self.m
-        return ZPoly(self.n, self.m, tuple((-a) % mod for a in self.coeffs))
+        return _zpoly(self.n, self.m, tuple((-a) % mod for a in self.coeffs))
 
     def __mul__(self, other: "ZPoly") -> "ZPoly":
         return ring_mul(self, other)
 
     def scale(self, c: int) -> "ZPoly":
         mod = 1 << self.m
-        return ZPoly(self.n, self.m, tuple(a * c % mod for a in self.coeffs))
+        return _zpoly(self.n, self.m, tuple(a * c % mod for a in self.coeffs))
 
     def reduce_mod(self, m2: int) -> "ZPoly":
         """Reduce coefficients to the smaller modulus 2^m2."""
@@ -148,6 +147,15 @@ class ZPoly:
         return all(c == 0 for c in self.coeffs)
 
 
+def _zpoly(n: int, m: int, coeffs: tuple[int, ...]) -> ZPoly:
+    """The ZPoly with these fields, unchecked: for results whose n
+    coefficients lie in [0, 2^m) by construction, with n and m taken
+    from valid operands."""
+    f = object.__new__(ZPoly)
+    f.__dict__.update(n=n, m=m, coeffs=coeffs)
+    return f
+
+
 def ring_mul(a: ZPoly, b: ZPoly) -> ZPoly:
     """Cyclic product by one multiply of packed operands (a square if a is b).
 
@@ -161,7 +169,7 @@ def ring_mul(a: ZPoly, b: ZPoly) -> ZPoly:
     width = _byte_lanes(2 * m + n.bit_length())
     x = _pack(a.coeffs, width)
     prod = x * x if a is b else x * _pack(b.coeffs, width)
-    return ZPoly(n, m, _unpack(prod + (prod >> (width * n)), n, width, (1 << m) - 1))
+    return _zpoly(n, m, _unpack(prod + (prod >> (width * n)), n, width, (1 << m) - 1))
 
 
 def mu_map(f: ZPoly, a: int) -> ZPoly:
@@ -171,7 +179,7 @@ def mu_map(f: ZPoly, a: int) -> ZPoly:
     out = [0] * f.n
     for i, c in enumerate(f.coeffs):
         out[a * i % f.n] = c
-    return ZPoly(f.n, f.m, tuple(out))
+    return _zpoly(f.n, f.m, tuple(out))
 
 
 # ----------------------------------------------------------------------
@@ -294,9 +302,10 @@ def _x_pow_minus_one(n: int, mod: int) -> list[int]:
 
 
 def _to_zpoly(raw: list[int], n: int, m: int) -> ZPoly:
+    """raw, coefficients in [0, 2^m), padded to n; a longer raw raises."""
     if len(raw) > n:
         raise ShapeMismatch(f"degree {len(raw) - 1} polynomial exceeds ring length {n}")
-    return ZPoly(n, m, tuple(raw) + (0,) * (n - len(raw)))
+    return _zpoly(n, m, tuple(raw) + (0,) * (n - len(raw)))
 
 
 def _from_zpoly(f: ZPoly) -> list[int]:
@@ -332,15 +341,13 @@ def _gcd_gf2(a: int, b: int) -> int:
 # ----------------------------------------------------------------------
 # Factorization of x^p - 1 and its lift.
 
-@dataclass(frozen=True)
-class FactorSet:
+class FactorSet(Record):
     """The triple x^p - 1 = f_unit * f_q * f_n over Z_{2^m}."""
 
-    p: int
-    m: int
-    f_unit: ZPoly
-    f_q: ZPoly
-    f_n: ZPoly
+    _fields = ("p", "m", "f_unit", "f_q", "f_n")
+
+    def __init__(self, p: int, m: int, f_unit: ZPoly, f_q: ZPoly, f_n: ZPoly) -> None:
+        self.__dict__.update(p=p, m=m, f_unit=f_unit, f_q=f_q, f_n=f_n)
 
     def verify_product(self) -> bool:
         """Multiply out at full degree before reduction and compare."""

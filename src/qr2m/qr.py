@@ -15,7 +15,6 @@ the family assembles a p-length vector only where it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 
@@ -26,12 +25,13 @@ from .errors import (
     ShapeMismatch,
 )
 from .lincode import LinearCode, code_from_divisor
-from .modring import FamilyParams, Modulus, family_params, quad_partition
+from .modring import FamilyParams, Modulus, Record, family_params, quad_partition
 from .polyring import (
     FactorSet,
     ZPoly,
     _from_zpoly,
     _mul_raw,
+    _zpoly,
     binary_qr_factors,
     hensel_lift_factors,
     ring_mul,
@@ -75,7 +75,7 @@ def assemble_basis(p: int, m: int, alpha: int, beta: int, gamma: int) -> ZPoly:
     mod = Modulus(m).value
     # the class table codes zero as 0, residue as 1, nonresidue as 2
     by_class = (alpha % mod, beta % mod, gamma % mod)
-    return ZPoly(p, m, tuple(by_class[t] for t in part._table))
+    return _zpoly(p, m, tuple(by_class[t] for t in part._table))
 
 
 @lru_cache(maxsize=None)
@@ -123,12 +123,17 @@ def closed_form_products(p: int, m: int) -> dict[str, tuple[int, int, int]]:
     return {name: tuple(c % mod for c in trip) for name, trip in forms.items()}
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    holds: bool
-    computed: tuple[int, int, int]
-    expected: tuple[int, int, int]
+class IdentityCheck(Record):
+    _fields = ("name", "holds", "computed", "expected")
+
+    def __init__(
+        self,
+        name: str,
+        holds: bool,
+        computed: tuple[int, int, int],
+        expected: tuple[int, int, int],
+    ) -> None:
+        self.__dict__.update(name=name, holds=holds, computed=computed, expected=expected)
 
     def as_dict(self) -> dict:
         return {
@@ -139,16 +144,23 @@ class IdentityCheck:
         }
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Computed span coordinates versus closed form for the four basis products."""
 
-    p: int
-    m: int
-    k: int
-    eps: int
-    checks: tuple[IdentityCheck, ...]
-    printed_divergences: tuple[IdentityCheck, ...]
+    _fields = ("p", "m", "k", "eps", "checks", "printed_divergences")
+
+    def __init__(
+        self,
+        p: int,
+        m: int,
+        k: int,
+        eps: int,
+        checks: tuple[IdentityCheck, ...],
+        printed_divergences: tuple[IdentityCheck, ...],
+    ) -> None:
+        self.__dict__.update(
+            p=p, m=m, k=k, eps=eps, checks=checks, printed_divergences=printed_divergences
+        )
 
     @property
     def all_hold(self) -> bool:
@@ -232,22 +244,6 @@ def _span_mul(
     )
 
 
-def _scan_span(p: int, m: int) -> list[tuple[int, int, int]]:
-    """All span idempotents by exhaustive 2^(3m) triple scan.
-
-    Not used by the library: the tests keep it as the independent oracle
-    that `span_idempotents` (one squaring per bit) is checked against.
-    """
-    mod = 1 << m
-    found = []
-    for a in range(mod):
-        for b in range(mod):
-            for c in range(mod):
-                if _span_mul(p, (a, b, c), (a, b, c), mod) == (a, b, c):
-                    found.append((a, b, c))
-    return found
-
-
 def _lift_span(p: int, m: int) -> list[tuple[int, int, int]]:
     """All span idempotents mod 2^m: a scan mod 2, then one squaring per bit.
 
@@ -280,8 +276,7 @@ def span_idempotents(p: int, m: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(triples))
 
 
-@dataclass(frozen=True, order=True)
-class IdempotentCoeffs:
+class IdempotentCoeffs(Record):
     """A nondegenerate idempotent alpha + beta*e1 + gamma*e2 in R_p.
 
     Nondegenerate means beta != gamma; the degenerate idempotents
@@ -292,21 +287,18 @@ class IdempotentCoeffs:
     on the blocks there.
     """
 
-    p: int
-    m: int
-    alpha: int
-    beta: int
-    gamma: int
+    _fields = ("p", "m", "alpha", "beta", "gamma")
 
-    def __post_init__(self) -> None:
-        mod = Modulus(self.m).value
-        for c in (self.alpha, self.beta, self.gamma):
+    def __init__(self, p: int, m: int, alpha: int, beta: int, gamma: int) -> None:
+        mod = Modulus(m).value
+        for c in (alpha, beta, gamma):
             if not 0 <= c < mod:
                 raise ValueError("coefficient out of range")
-        if self.beta == self.gamma:
+        if beta == gamma:
             raise ValueError("degenerate coefficients: beta equals gamma")
-        if self.triple not in span_idempotents(self.p, self.m):
+        if (alpha, beta, gamma) not in span_idempotents(p, m):
             raise ValueError("triple does not define an idempotent")
+        self.__dict__.update(p=p, m=m, alpha=alpha, beta=beta, gamma=gamma)
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -447,8 +439,7 @@ def _shift_direction(case_tag: str) -> int:
     return 1 if case_tag in ("C12", "C22") else -1
 
 
-@dataclass(frozen=True)
-class QrFamily:
+class QrFamily(Record):
     """The four codes q, q', n, n' of (p, m), held as their idempotents' span triples.
 
     Each triple is (alpha, beta, gamma) mod 2^m, the coordinates of the
@@ -458,13 +449,35 @@ class QrFamily:
     reads them.
     """
 
-    params: FamilyParams
-    case_tag: str
-    coeffs_q: IdempotentCoeffs
-    triple_q: tuple[int, int, int]
-    triple_q_prime: tuple[int, int, int]
-    triple_n: tuple[int, int, int]
-    triple_n_prime: tuple[int, int, int]
+    _fields = (
+        "params",
+        "case_tag",
+        "coeffs_q",
+        "triple_q",
+        "triple_q_prime",
+        "triple_n",
+        "triple_n_prime",
+    )
+
+    def __init__(
+        self,
+        params: FamilyParams,
+        case_tag: str,
+        coeffs_q: IdempotentCoeffs,
+        triple_q: tuple[int, int, int],
+        triple_q_prime: tuple[int, int, int],
+        triple_n: tuple[int, int, int],
+        triple_n_prime: tuple[int, int, int],
+    ) -> None:
+        self.__dict__.update(
+            params=params,
+            case_tag=case_tag,
+            coeffs_q=coeffs_q,
+            triple_q=triple_q,
+            triple_q_prime=triple_q_prime,
+            triple_n=triple_n,
+            triple_n_prime=triple_n_prime,
+        )
 
     @cached_property
     def idem_q(self) -> ZPoly:

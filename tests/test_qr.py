@@ -37,7 +37,7 @@ from qr2m.qr import (
     BLOCKS,
     IdempotentCoeffs,
     _lift_span,
-    _scan_span,
+    _span_mul,
     _span_products,
     assemble_basis,
     basis_vectors,
@@ -211,6 +211,20 @@ def test_degenerate_idempotents_satisfy_printed_system():
     for p, m in ((7, 4), (17, 5)):
         for triple in span_idempotents(p, m):
             assert coefficient_system_holds(p, m, *triple)
+
+
+def _scan_span(p, m):
+    """All span idempotents by exhaustive 2^(3m) triple scan: the
+    independent oracle that span_idempotents (one squaring per bit) is
+    checked against."""
+    mod = 1 << m
+    found = []
+    for a in range(mod):
+        for b in range(mod):
+            for c in range(mod):
+                if _span_mul(p, (a, b, c), (a, b, c), mod) == (a, b, c):
+                    found.append((a, b, c))
+    return found
 
 
 def test_digit_lifting_agrees_with_exhaustive_scan():

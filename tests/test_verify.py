@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import sys
@@ -366,9 +365,20 @@ def test_a_broken_family_fails_the_rows_that_read_it(monkeypatch, p, m, small_ex
     def twice(trip):
         return tuple(2 * c % (1 << m) for c in trip)
 
-    doubled = dataclasses.replace(fam, triple_q=twice(fam.triple_q))
-    swapped = dataclasses.replace(fam, triple_q=fam.triple_n)
-    doubled_big = dataclasses.replace(fam, triple_q_prime=twice(fam.triple_q_prime))
+    def broken(triple_q=fam.triple_q, triple_q_prime=fam.triple_q_prime):
+        return qr.QrFamily(
+            params=fam.params,
+            case_tag=fam.case_tag,
+            coeffs_q=fam.coeffs_q,
+            triple_q=triple_q,
+            triple_q_prime=triple_q_prime,
+            triple_n=fam.triple_n,
+            triple_n_prime=fam.triple_n_prime,
+        )
+
+    doubled = broken(triple_q=twice(fam.triple_q))
+    swapped = broken(triple_q=fam.triple_n)
+    doubled_big = broken(triple_q_prime=twice(fam.triple_q_prime))
     assert qr.block_set(p, m, doubled.triple_q) is None
     assert qr.block_set(p, m, doubled_big.triple_q_prime) is None
     # the vectors are a view of the triples, so they break with them
