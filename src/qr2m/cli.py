@@ -49,8 +49,6 @@ class SweepConfig(Record):
     format is validated as json or csv, but the report is always JSON.
     """
 
-    _fields = ("p_list", "m_list", "budget", "output", "format")
-
     def __init__(
         self,
         p_list: tuple[int, ...],

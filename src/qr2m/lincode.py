@@ -102,8 +102,6 @@ class LinearCode(Record):
     """A submodule of Z_{2^m}^n held by its canonical (Howell) rows, each
     lane-packed in lanes of _lane_width(n, m) bits; gen is the tuple view."""
 
-    _fields = ("n", "m", "rows")
-
     def __init__(self, n: int, m: int, rows: tuple[int, ...]) -> None:
         Modulus(m)
         self.__dict__.update(n=n, m=m, rows=rows)
@@ -188,12 +186,12 @@ class LinearCode(Record):
             else:
                 return
 
-    def codewords(self, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
-        """Every codeword once; a code of more than budget words raises
-        BudgetExceeded here, before the first word."""
-        if self.log2_size >= budget.bit_length():
+    def codewords(self) -> Iterator[tuple[int, ...]]:
+        """Every codeword once; a code of more than DEFAULT_BUDGET words
+        raises BudgetExceeded here, before the first word."""
+        if self.log2_size >= DEFAULT_BUDGET.bit_length():
             raise BudgetExceeded(
-                f"2^{self.log2_size} codewords exceed the budget of {budget}"
+                f"2^{self.log2_size} codewords exceed the budget of {DEFAULT_BUDGET}"
             )
         return map(self._entries, self._words())
 
@@ -381,8 +379,6 @@ def is_self_orthogonal(c: LinearCode) -> bool:
 
 class WeightReport(Record):
     """Minimum Hamming weight data for one code."""
-
-    _fields = ("min_weight", "min_weight_count", "all_min_odd_like", "enumerated")
 
     def __init__(
         self,

@@ -36,13 +36,17 @@ MAX_P = 1 << 20
 class Record:
     """An immutable value named by its fields.
 
-    A subclass lists its fields in _fields and stores them from its own
-    __init__ into __dict__, which functools.cached_property also fills.
+    A subclass's fields are the parameters of its own __init__, which
+    stores them into __dict__ (functools.cached_property also fills it).
     Records of the same class are equal when their fields are, and hash
     and print by them; assigning or deleting an attribute raises.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
 
     def _values(self) -> tuple:
         d = self.__dict__
@@ -74,8 +78,6 @@ class Record:
 class Modulus(Record):
     """Exponent m of a power-of-two modulus, 1 <= m <= 62."""
 
-    _fields = ("m",)
-
     def __init__(self, m: int) -> None:
         if not isinstance(m, int) or not 1 <= m <= MAX_M:
             raise BadModulus(f"modulus exponent must be in 1..{MAX_M}, got {m!r}")
@@ -100,8 +102,6 @@ def is_odd_prime(p: int) -> bool:
 
 class QuadPartition(Record):
     """The partition of {1..p-1} into residues q and nonresidues n."""
-
-    _fields = ("p", "q", "n")
 
     def __init__(self, p: int, q: tuple[int, ...], n: tuple[int, ...]) -> None:
         self.__dict__.update(p=p, q=q, n=n)
@@ -173,8 +173,6 @@ def residue_class_counts(i: int, s: Iterable[int], p: int) -> tuple[int, int, in
 
 class FamilyParams(Record):
     """Location of p relative to 2^m: p = sign * (8k - 1) mod 2^m."""
-
-    _fields = ("p", "m", "k", "sign")
 
     def __init__(self, p: int, m: int, k: int, sign: int) -> None:
         self.__dict__.update(p=p, m=m, k=k, sign=sign)

@@ -33,8 +33,6 @@ class Template(enum.Enum):
 class PadicExpansion(Record):
     """m binary digits, least significant first."""
 
-    _fields = ("m", "digits")
-
     def __init__(self, m: int, digits: tuple[int, ...]) -> None:
         Modulus(m)
         if len(digits) != m or any(d not in (0, 1) for d in digits):

@@ -41,11 +41,8 @@ from .modring import Modulus, Record, quad_partition
 class ZPoly(Record):
     """Element of Z_{2^m}[x]/(x^n - 1) as n coefficients, constant first.
 
-    The constructor checks the shape and reduces the coefficients mod 2^m;
-    results already in range are built by _zpoly, which checks nothing.
+    The constructor checks the shape and reduces the coefficients mod 2^m.
     """
-
-    _fields = ("n", "m", "coeffs")
 
     def __init__(self, n: int, m: int, coeffs: tuple[int, ...]) -> None:
         Modulus(m)
@@ -105,7 +102,7 @@ class ZPoly(Record):
     def __add__(self, other: "ZPoly") -> "ZPoly":
         self._check_shape(other)
         mod = 1 << self.m
-        return _zpoly(
+        return ZPoly(
             self.n, self.m,
             tuple((a + b) % mod for a, b in zip(self.coeffs, other.coeffs)),
         )
@@ -113,21 +110,21 @@ class ZPoly(Record):
     def __sub__(self, other: "ZPoly") -> "ZPoly":
         self._check_shape(other)
         mod = 1 << self.m
-        return _zpoly(
+        return ZPoly(
             self.n, self.m,
             tuple((a - b) % mod for a, b in zip(self.coeffs, other.coeffs)),
         )
 
     def __neg__(self) -> "ZPoly":
         mod = 1 << self.m
-        return _zpoly(self.n, self.m, tuple((-a) % mod for a in self.coeffs))
+        return ZPoly(self.n, self.m, tuple((-a) % mod for a in self.coeffs))
 
     def __mul__(self, other: "ZPoly") -> "ZPoly":
         return ring_mul(self, other)
 
     def scale(self, c: int) -> "ZPoly":
         mod = 1 << self.m
-        return _zpoly(self.n, self.m, tuple(a * c % mod for a in self.coeffs))
+        return ZPoly(self.n, self.m, tuple(a * c % mod for a in self.coeffs))
 
     def reduce_mod(self, m2: int) -> "ZPoly":
         """Reduce coefficients to the smaller modulus 2^m2."""
@@ -147,15 +144,6 @@ class ZPoly(Record):
         return all(c == 0 for c in self.coeffs)
 
 
-def _zpoly(n: int, m: int, coeffs: tuple[int, ...]) -> ZPoly:
-    """The ZPoly with these fields, unchecked: for results whose n
-    coefficients lie in [0, 2^m) by construction, with n and m taken
-    from valid operands."""
-    f = object.__new__(ZPoly)
-    f.__dict__.update(n=n, m=m, coeffs=coeffs)
-    return f
-
-
 def ring_mul(a: ZPoly, b: ZPoly) -> ZPoly:
     """Cyclic product by one multiply of packed operands (a square if a is b).
 
@@ -169,7 +157,7 @@ def ring_mul(a: ZPoly, b: ZPoly) -> ZPoly:
     width = _byte_lanes(2 * m + n.bit_length())
     x = _pack(a.coeffs, width)
     prod = x * x if a is b else x * _pack(b.coeffs, width)
-    return _zpoly(n, m, _unpack(prod + (prod >> (width * n)), n, width, (1 << m) - 1))
+    return ZPoly(n, m, _unpack(prod + (prod >> (width * n)), n, width, (1 << m) - 1))
 
 
 def mu_map(f: ZPoly, a: int) -> ZPoly:
@@ -179,7 +167,7 @@ def mu_map(f: ZPoly, a: int) -> ZPoly:
     out = [0] * f.n
     for i, c in enumerate(f.coeffs):
         out[a * i % f.n] = c
-    return _zpoly(f.n, f.m, tuple(out))
+    return ZPoly(f.n, f.m, tuple(out))
 
 
 # ----------------------------------------------------------------------
@@ -302,10 +290,9 @@ def _x_pow_minus_one(n: int, mod: int) -> list[int]:
 
 
 def _to_zpoly(raw: list[int], n: int, m: int) -> ZPoly:
-    """raw, coefficients in [0, 2^m), padded to n; a longer raw raises."""
     if len(raw) > n:
         raise ShapeMismatch(f"degree {len(raw) - 1} polynomial exceeds ring length {n}")
-    return _zpoly(n, m, tuple(raw) + (0,) * (n - len(raw)))
+    return ZPoly(n, m, tuple(raw) + (0,) * (n - len(raw)))
 
 
 def _from_zpoly(f: ZPoly) -> list[int]:
@@ -343,8 +330,6 @@ def _gcd_gf2(a: int, b: int) -> int:
 
 class FactorSet(Record):
     """The triple x^p - 1 = f_unit * f_q * f_n over Z_{2^m}."""
-
-    _fields = ("p", "m", "f_unit", "f_q", "f_n")
 
     def __init__(self, p: int, m: int, f_unit: ZPoly, f_q: ZPoly, f_n: ZPoly) -> None:
         self.__dict__.update(p=p, m=m, f_unit=f_unit, f_q=f_q, f_n=f_n)

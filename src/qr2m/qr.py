@@ -31,7 +31,6 @@ from .polyring import (
     ZPoly,
     _from_zpoly,
     _mul_raw,
-    _zpoly,
     binary_qr_factors,
     hensel_lift_factors,
     ring_mul,
@@ -75,7 +74,7 @@ def assemble_basis(p: int, m: int, alpha: int, beta: int, gamma: int) -> ZPoly:
     mod = Modulus(m).value
     # the class table codes zero as 0, residue as 1, nonresidue as 2
     by_class = (alpha % mod, beta % mod, gamma % mod)
-    return _zpoly(p, m, tuple(by_class[t] for t in part._table))
+    return ZPoly(p, m, tuple(by_class[t] for t in part._table))
 
 
 @lru_cache(maxsize=None)
@@ -124,8 +123,6 @@ def closed_form_products(p: int, m: int) -> dict[str, tuple[int, int, int]]:
 
 
 class IdentityCheck(Record):
-    _fields = ("name", "holds", "computed", "expected")
-
     def __init__(
         self,
         name: str,
@@ -146,8 +143,6 @@ class IdentityCheck(Record):
 
 class IdentityReport(Record):
     """Computed span coordinates versus closed form for the four basis products."""
-
-    _fields = ("p", "m", "k", "eps", "checks", "printed_divergences")
 
     def __init__(
         self,
@@ -286,8 +281,6 @@ class IdempotentCoeffs(Record):
     complete (each idempotent mod 2 lifted by squaring) and each checked
     on the blocks there.
     """
-
-    _fields = ("p", "m", "alpha", "beta", "gamma")
 
     def __init__(self, p: int, m: int, alpha: int, beta: int, gamma: int) -> None:
         mod = Modulus(m).value
@@ -448,16 +441,6 @@ class QrFamily(Record):
     the verify sweep reads the triples, and the vectors only where a row
     reads them.
     """
-
-    _fields = (
-        "params",
-        "case_tag",
-        "coeffs_q",
-        "triple_q",
-        "triple_q_prime",
-        "triple_n",
-        "triple_n_prime",
-    )
 
     def __init__(
         self,
